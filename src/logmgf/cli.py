@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import LogMgfError
+from .errors import DomainError, LogMgfError
 from .gaussian import GaussianParams, RngSeed
 from .lambertw import mgf_asmussen
 from .montecarlo import McConfig, mgf_monte_carlo
@@ -272,11 +272,13 @@ def _cmd_table(args) -> int:
 
 def _cmd_paths(args) -> int:
     q = MgfQuery(mu=args.mu, sigma=args.sigma, theta=args.theta)
-    ensemble = simulate_paths(q, args.n, args.steps, RngSeed(args.seed))
-    moments = ensemble_moments(ensemble.terminal_values)
+    if args.n < 2:
+        raise DomainError(f"--n must be >= 2 for a sample variance, got {args.n}")
     # variance_kick so the reported (m_1, v_1) carries live variance dynamics,
     # the quantity the simulated spread is an oracle for
     cfg = ZeroEntropyConfig(steps=args.steps, variance_kick=True)
+    ensemble = simulate_paths(q, args.n, args.steps, RngSeed(args.seed))
+    moments = ensemble_moments(ensemble.terminal_values)
     state, _ = integrate_with_info(q, cfg)
     n = ensemble.n_paths
     se_mean = (moments["variance"] / n) ** 0.5
@@ -363,8 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    A DomainError (bad input) exits 2 and any other LogMgfError exits 1, each
+    with one line on stderr instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LogMgfError as exc:
+        print(f"logmgf: error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, DomainError) else 1
 
 
 if __name__ == "__main__":

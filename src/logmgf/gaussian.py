@@ -3,7 +3,8 @@
 Everything here runs in 64-bit floats. The standard-normal CDF is evaluated
 through the complementary error function; the quantile uses a rational
 initial approximation polished by a Newton step against that CDF, which
-keeps |cdf(inverse(p)) - p| <= 1e-12 across the whole open unit interval.
+keeps |cdf(inverse(p)) - p| <= 1e-12 across the whole open unit interval. The
+quantile runs on whole arrays; the scalar form is a one-element call of it.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ def pdf(x: float, p: GaussianParams) -> float:
     return _INV_SQRT_TWO_PI / p.sigma * math.exp(-0.5 * z * z)
 
 
-def pdf_std(z: float) -> float:
-    """Standard-normal density."""
-    return _INV_SQRT_TWO_PI * math.exp(-0.5 * z * z)
-
-
 def cdf_std(x: float) -> float:
     """Standard-normal CDF via erfc; absolute error well below 1e-14.
 
@@ -91,35 +87,53 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _acklam(p: np.ndarray) -> np.ndarray:
+    z = np.empty_like(p)
+    tail_mass = np.minimum(p, 1.0 - p)
+    tail = tail_mass < _P_LOW
+    q = p[~tail] - 0.5
     r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+    z[~tail] = _horner(_A, r) * q / _horner(_B + (1.0,), r)
+    q = np.sqrt(-2.0 * np.log(tail_mass[tail]))
+    lower = _horner(_C, q) / _horner(_D + (1.0,), q)
+    z[tail] = np.where(p[tail] < 0.5, lower, -lower)
+    return z
+
+
+def inverse_cdf_std_array(p: np.ndarray) -> np.ndarray:
+    """Standard-normal quantile of a 1-D array; |cdf_std(z) - p| <= 1e-12.
+
+    Rational approximation seeded, then one Newton step against cdf_std.
+    Raises DomainError unless every element lies in the open unit interval.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    outside = ~((p > 0.0) & (p < 1.0))
+    if outside.any():
+        bad = float(p[outside][0])
+        raise DomainError(f"quantile argument must lie in (0, 1), got {bad}")
+    z = _acklam(p)
+    # Newton polish; the seed is already ~1e-9 accurate so one step lands at
+    # the evaluation noise floor of cdf_std. numpy has no erfc, so cdf_std's
+    # erfc runs element by element.
+    cdf = 0.5 * np.fromiter(map(math.erfc, -z / _SQRT2), np.float64, len(z))
+    z -= (cdf - p) / (_INV_SQRT_TWO_PI * np.exp(-0.5 * z * z))
+    return z
 
 
 def inverse_cdf_std(p: float) -> float:
     """Standard-normal quantile; |cdf_std(z) - p| <= 1e-12.
 
-    Rational approximation seeded, then one Newton step against cdf_std.
-    Raises DomainError outside the open unit interval.
+    A one-element call of inverse_cdf_std_array. Raises DomainError outside
+    the open unit interval.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"quantile argument must lie in (0, 1), got {p}")
-    z = _acklam(p)
-    # Newton polish; the seed is already ~1e-9 accurate so one step lands at
-    # the evaluation noise floor of cdf_std.
-    err = cdf_std(z) - p
-    z -= err / pdf_std(z)
-    return z
+    return float(inverse_cdf_std_array(np.array([p], dtype=np.float64))[0])
 
 
 def sample(p: GaussianParams, stream: np.random.Generator, size: int | None = None):

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo estimator of the lognormal MGF.
 
 Sampling is partitioned into fixed-size blocks, each drawing from its own
-deterministic sub-stream keyed by (seed, block index); block sums are then
-combined in index order with compensated summation, so serial and parallel
-evaluations of the same configuration agree bit-exactly. The second moment
-is accumulated around the first block's mean to dodge cancellation at large
+deterministic sub-stream keyed by (seed, block index). Block sums are
+combined with math.fsum, which rounds the exact total once, so a fixed
+configuration gives bit-identical results run to run. The second moment is
+accumulated around the first block's mean to dodge cancellation at large
 sample counts.
 """
 
@@ -36,22 +36,6 @@ class McConfig:
             raise DomainError(f"batch must be positive, got {self.batch}")
 
 
-class _Kahan:
-    """Running compensated sum."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
 def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
     """Average of exp(theta * e^x) over n_samples Gaussian draws.
 
@@ -60,8 +44,8 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
     """
     cfg = cfg or McConfig()
     n = cfg.n_samples
-    shifted_sum = _Kahan()
-    shifted_sq = _Kahan()
+    block_sums = []
+    block_sqs = []
     shift = None
     n_blocks = 0
     done = 0
@@ -80,13 +64,14 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
             if shift is None:
                 shift = float(f.mean())
             d = f - shift
-            shifted_sum.add(float(np.sum(d)))
-            shifted_sq.add(float(np.sum(d * d)))
+            block_sums.append(float(np.sum(d)))
+            block_sqs.append(float(np.sum(d * d)))
             done += size
             n_blocks += 1
     assert shift is not None
-    mean = shift + shifted_sum.total / n
-    var = (shifted_sq.total - shifted_sum.total**2 / n) / (n - 1)
+    shifted_sum = math.fsum(block_sums)
+    mean = shift + shifted_sum / n
+    var = (math.fsum(block_sqs) - shifted_sum**2 / n) / (n - 1)
     var = max(var, 0.0)
     return MgfEstimate(
         value=mean,

@@ -62,7 +62,6 @@ class OdeState:
 class ZeroEntropyConfig:
     steps: int = 2000
     gamma_enabled: bool = True
-    upsilon_extra_term: bool = False
     overflow_guard: float = 700.0
     variance_kick: bool = False
 
@@ -135,10 +134,6 @@ def drift_v(s: OdeState, q: MgfQuery, cfg: ZeroEntropyConfig) -> float:
         * s.v**1.5
         * math.exp(s.m + 0.5 * s.v)
     )
-    if cfg.upsilon_extra_term:
-        radicand += (
-            (0.5**1.5) * q.sigma**5 * math.sqrt(s.v) * math.exp(2.0 * s.m + s.v)
-        )
     if radicand < 0.0:
         raise NegativeRadicand(
             f"variance radicand {radicand:.3g} < 0 at t={s.t:.6g}", s.t, radicand
@@ -246,6 +241,8 @@ def simulate_paths(
         raise DomainError("theta = 0 has no driving process; MGF is 1 exactly")
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
     dt = 1.0 / steps
     sqrt_dt = math.sqrt(dt)
     y0 = math.log(abs(q.theta))

@@ -70,6 +70,25 @@ def test_usage_error_exit_code(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--mu", "0", "--sigma", "0", "--theta", "-1"],
+        ["compute", "--mu", "0", "--sigma", "nan", "--theta", "-1"],
+        ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--n", "1"],
+        ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--steps", "0"],
+        ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "0"],
+    ],
+    ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("logmgf: error: ")
+
+
 def test_table_csv_format(capsys):
     code, out = run_cli(capsys, "table", "--id", "2", "--format", "csv",
                         "--mc-samples", "10000")

@@ -16,6 +16,7 @@ from logmgf import (
     pdf,
     sample,
 )
+from logmgf.gaussian import inverse_cdf_std_array
 
 # frozen with mpmath at 40 digits: exp(-1/8) / (2*sqrt(2*pi))
 PDF_1_0_2 = 0.17603266338214973889
@@ -83,9 +84,11 @@ def test_inverse_cdf_trivials():
 
 
 def test_inverse_cdf_domain():
-    for p in [0.0, 1.0, -0.2, 1.5]:
+    for p in [0.0, 1.0, -0.2, 1.5, math.nan]:
         with pytest.raises(DomainError):
             inverse_cdf_std(p)
+        with pytest.raises(DomainError):
+            inverse_cdf_std_array(np.array([0.3, p, 0.7]))
 
 
 @settings(max_examples=300)
@@ -93,6 +96,15 @@ def test_inverse_cdf_domain():
 def test_inverse_cdf_round_trip(p):
     z = inverse_cdf_std(p)
     assert abs(cdf_std(z) - p) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(ps=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   min_size=1, max_size=50))
+def test_inverse_cdf_array_matches_scalar(ps):
+    zs = inverse_cdf_std_array(np.array(ps))
+    for p, z in zip(ps, zs):
+        assert abs(z - inverse_cdf_std(p)) <= 1e-12
 
 
 def test_monotonicity_on_grids():

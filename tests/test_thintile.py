@@ -79,6 +79,35 @@ def test_area_accounting():
     assert grid.n_pairs == 5_000 - 1
 
 
+def test_closed_form_matches_slope_recurrence():
+    # the sequential slope recurrence the closed form replaces, as a reference
+    n_pairs = 2_000
+    std = GaussianParams(0.0, 1.0)
+    z = [0.0]
+    total = comp = 0.0
+    for _ in range(1, n_pairs):
+        s = max(1.0, abs(z[-1]) * pdf(z[-1], std))
+        y = 1.0 / n_pairs / s - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        z.append(-inverse_cdf_std((1.0 - total) / 2.0))
+    grid = build_grid(std, TileGridConfig(n_pairs=n_pairs))
+    assert len(grid.coordinates) == len(z)
+    assert np.max(np.abs(grid.coordinates - np.array(z))) <= 1e-12
+    # max |z| phi(z) = 1/sqrt(2 pi e) < 1, so the slope floor always wins
+    assert all(max(1.0, abs(x) * pdf(x, std)) == 1.0 for x in grid.coordinates)
+
+
+def test_tail_cutoff_stops_early():
+    # 1 - A_n < 1e-6 first holds at n = N - 2, so one pair fewer than N - 1
+    n_pairs = 2_500_000
+    grid = build_grid(GaussianParams(0.0, 1.0),
+                      TileGridConfig(n_pairs=n_pairs, tail_cutoff=1e-6))
+    assert grid.n_pairs == n_pairs - 2
+    assert 1.0 - grid.areas[-2] >= 1e-6 > 1.0 - grid.coverage
+
+
 def test_coordinate_area_consistency():
     grid = build_grid(GaussianParams(1.0, 0.5), TileGridConfig(n_pairs=3_000))
     for n in [1, 50, 1500, grid.n_pairs]:
