@@ -243,6 +243,7 @@ def _print_table_text(reports: list[RunReport], table_id: int, out) -> None:
 
 def _cmd_compute(args) -> int:
     q = MgfQuery(mu=args.mu, sigma=args.sigma, theta=args.theta)
+    RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
     methods = args.methods
     report = _run_report(q, methods, args)
     if args.dump_grid:
@@ -260,6 +261,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
     spec = TABLES[args.id]
     reports = []
     for theta in spec.thetas:
@@ -283,6 +285,12 @@ def _cmd_paths(args) -> int:
     n = ensemble.n_paths
     se_mean = (moments["variance"] / n) ** 0.5
     se_var = moments["variance"] * (2.0 / (n - 1)) ** 0.5
+    if se_mean == 0.0 or se_var == 0.0:
+        # e.g. a sigma so small that the squared deviations underflow
+        raise DomainError(
+            f"ensemble variance {moments['variance']:.3g} over {n} retained paths "
+            f"has no standard error at sigma={_fmt(q.sigma)}"
+        )
     rows = {
         "n_paths": float(n),
         "n_overflowed": float(ensemble.n_overflowed),

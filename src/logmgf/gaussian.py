@@ -9,6 +9,7 @@ quantile runs on whole arrays; the scalar form is a one-element call of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,13 +36,90 @@ class GaussianParams:
             raise DomainError("mu and sigma must be finite")
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its constants,
+# its 4-word pool and the 16-bit xorshift of every hash and mix.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _keyed_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows of SeedSequence((seed, p)).generate_state(4, uint64), p in [start, stop).
+
+    numpy's hash, run on uint32 arrays (which wrap mod 2^32 like its C code)
+    so every index of the range goes through it at once. The entropy of
+    (seed, p) is seed's little-endian 32-bit words, then p as one word, which
+    is why p stays below 2^32; that is at most 3 words, so the pool's zero
+    padding applies and no word is left for the final mixing loop.
+    """
+    n = stop - start
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(n, w, np.uint32) for w in words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    entropy += [np.zeros(n, np.uint32)] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    pool = [hashmix(word) for word in entropy]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixed = _MIX_MULT_L * pool[i_dst] - _MIX_MULT_R * hashmix(pool[i_src])
+                mixed ^= mixed >> 16
+                pool[i_dst] = mixed
+    state = np.empty((n, 8), np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        state[:, i] = value
+    # two uint32 words per uint64, low word first, as generate_state assembles them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """ISeedSequence handing PCG64 precomputed state words.
+
+    Built on first use because numpy.random loads lazily and `import logmgf`
+    should not pay for it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or dtype is not np.uint64:
+                raise ValueError(f"holds {len(self.words)} uint64 state words only")
+            return self.words
+
+    return StateWords
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """64-bit seed; identical seeds yield bit-identical sample streams.
 
     Streams are numpy PCG64 generators. Derived sub-streams are keyed by
-    (seed, index) through SeedSequence, so a computation partitioned over
-    indices gives the same draws regardless of execution order.
+    (seed, index) with 0 <= index < 2^32: sub-stream i is the generator seeded
+    by SeedSequence((seed, i)), so a computation partitioned over indices gives
+    the same draws regardless of execution order. `substreams` keys a whole
+    index range with one array pass of SeedSequence's hash; `substream` keys
+    one index through SeedSequence itself, which is faster for one index than
+    an array pass.
     """
 
     seed: int
@@ -53,7 +131,26 @@ class RngSeed:
     def stream(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
+    def substreams(self, start: int, stop: int) -> list[np.random.Generator]:
+        """Sub-streams start, ..., stop - 1; each equals its `substream(i)`.
+
+        Raises DomainError unless 0 <= start <= stop <= 2^32.
+        """
+        if not (0 <= start <= stop <= 2**32):
+            raise DomainError(
+                f"sub-stream indices must lie in [0, 2^32), got [{start}, {stop})"
+            )
+        words_type = _state_words_type()
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        return [
+            generator(pcg64(words_type(words)))
+            for words in _keyed_states(self.seed, start, stop)
+        ]
+
     def substream(self, index: int) -> np.random.Generator:
+        """Generator seeded by SeedSequence((seed, index)); 0 <= index < 2^32."""
+        if not (0 <= index < 2**32):
+            raise DomainError(f"sub-stream index must lie in [0, 2^32), got {index}")
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed, index)))
         )

@@ -37,6 +37,7 @@ the independent oracle for the ODE system.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
@@ -46,7 +47,10 @@ from .errors import DivergenceError, DomainError, NegativeRadicand, PathOverflow
 from .gaussian import RngSeed
 from .types import Method, MgfEstimate, MgfQuery
 
-_PATH_BLOCK = 2048  # paths stepped together; bounds the shock matrix at ~33MB
+_PATH_BLOCK = 2048  # paths stepped together, one ufunc call per step operation
+# float64 shocks held at once by all path workers together: 32.8 MB, the size
+# of one whole 2048-path x 2000-step shock matrix
+_SHOCK_FLOATS = 2048 * 2000
 
 
 @dataclass(frozen=True)
@@ -233,9 +237,13 @@ def simulate_paths(
     """Euler-Maruyama ensemble of y over [0, 1] from y_0 = log|theta|.
 
     Path p draws its shocks from the sub-stream keyed by (seed, p), so the
-    ensemble is identical however the paths are batched or ordered. Exploding
-    paths (positive theta) are excluded and counted; if every path explodes,
-    PathOverflow is raised.
+    ensemble is identical however the paths are batched or ordered. Blocks of
+    _PATH_BLOCK paths are dealt round-robin to one thread per usable CPU
+    (numpy releases the GIL while it draws normals and runs ufunc loops).
+    Each thread draws its block's shocks a chunk of steps at a time into its
+    one buffer; the chunk is sized so that all buffers together hold at most
+    _SHOCK_FLOATS doubles. Exploding paths (positive theta) are excluded and
+    counted; if every path explodes, PathOverflow is raised.
     """
     if q.theta == 0.0:
         raise DomainError("theta = 0 has no driving process; MGF is 1 exactly")
@@ -244,25 +252,57 @@ def simulate_paths(
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     dt = 1.0 / steps
-    sqrt_dt = math.sqrt(dt)
+    shock_scale = q.sigma * math.sqrt(dt)
     y0 = math.log(abs(q.theta))
     s2h = 0.5 * q.sigma * q.sigma
     base_drift = q.mu + s2h
     sign = q.sign_theta
+    pull = sign * s2h
     terminal = np.empty(n_paths)
-    for start in range(0, n_paths, _PATH_BLOCK):
-        stop = min(start + _PATH_BLOCK, n_paths)
-        shocks = np.empty((stop - start, steps))
-        for j, p in enumerate(range(start, stop)):
-            shocks[j] = seed.substream(p).standard_normal(steps)
-        y = np.full(stop - start, y0)
+    starts = range(0, n_paths, _PATH_BLOCK)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(starts))
+    width = min(_PATH_BLOCK, n_paths)
+    chunk = max(1, min(steps, _SHOCK_FLOATS // (workers * width)))
+    # allocated here, not in the workers: a buffer freed in a worker thread
+    # stays in that thread's malloc arena, so repeated calls would pile them up
+    buffers = [np.empty((width, chunk)) for _ in range(workers)]
+
+    def step_blocks(worker: int) -> None:
+        buffer = buffers[worker]
+        # the error state is per thread; a new thread starts from the default
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(steps):
-                y += (base_drift + sign * s2h * np.exp(y)) * dt
-                y += q.sigma * sqrt_dt * shocks[:, i]
-                if sign > 0.0:
-                    y[y > overflow_guard] = np.inf
-        terminal[start:stop] = y
+            for start in starts[worker::workers]:
+                stop = min(start + _PATH_BLOCK, n_paths)
+                streams = seed.substreams(start, stop)
+                y = terminal[start:stop]
+                y.fill(y0)
+                drift = np.empty_like(y)
+                for first in range(0, steps, chunk):
+                    shocks = buffer[: stop - start, : min(chunk, steps - first)]
+                    for row, stream in zip(shocks, streams):
+                        stream.standard_normal(out=row)
+                    shocks *= shock_scale
+                    for dw in shocks.T:
+                        np.exp(y, out=drift)
+                        drift *= pull
+                        drift += base_drift
+                        drift *= dt
+                        y += drift
+                        y += dw
+                        if sign > 0.0:
+                            y[y > overflow_guard] = np.inf
+
+    if workers == 1:
+        step_blocks(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(step_blocks, range(workers)))
     keep = np.isfinite(terminal) & (terminal <= overflow_guard)
     n_overflowed = int(n_paths - keep.sum())
     if n_overflowed == n_paths:
@@ -277,15 +317,19 @@ def simulate_paths(
 
 
 def ensemble_moments(values: np.ndarray) -> dict[str, float]:
-    """Mean, unbiased variance, skewness and excess kurtosis of a sample."""
+    """Mean, unbiased variance, skewness and excess kurtosis of a sample.
+
+    The higher moments are taken of the standardized deviations, so a spread
+    whose cube underflows (or whose fourth power overflows) stays finite.
+    """
     n = len(values)
     mean = float(np.mean(values))
     centered = values - mean
     var = float(np.dot(centered, centered) / (n - 1)) if n > 1 else 0.0
     if var > 0.0:
-        std = math.sqrt(var)
-        skew = float(np.mean(centered**3)) / std**3
-        exkurt = float(np.mean(centered**4)) / std**4 - 3.0
+        z = centered / math.sqrt(var)
+        skew = float(np.mean(z**3))
+        exkurt = float(np.mean(z**4)) - 3.0
     else:
         skew = 0.0
         exkurt = 0.0

@@ -78,8 +78,16 @@ def test_usage_error_exit_code(capsys):
         ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--n", "1"],
         ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--steps", "0"],
         ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "0"],
+        ["paths", "--mu", "0", "--sigma", "1e-200", "--theta", "-1", "--n", "10",
+         "--steps", "10"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--seed", "-1"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--seed",
+         str(2**64), "--methods", "zero"],
+        ["table", "--id", "1", "--seed", "-1"],
     ],
-    ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0"],
+    ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0",
+         "paths-sigma-underflow", "compute-seed-negative", "compute-seed-65-bits",
+         "table-seed-negative"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -144,6 +144,52 @@ def test_substreams_differ():
     assert np.array_equal(a, RngSeed(5).substream(0).standard_normal(8))
 
 
+def _seedsequence_stream(seed, index):
+    """The generator a sub-stream must equal, keyed by numpy's own SeedSequence."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+
+
+def _assert_keyed_like_seedsequence(seed, start, stop):
+    streams = RngSeed(seed).substreams(start, stop)
+    assert len(streams) == stop - start
+    for i, stream in enumerate(streams):
+        expected = _seedsequence_stream(seed, start + i).standard_normal(6)
+        assert np.array_equal(stream.standard_normal(6), expected), (seed, start + i)
+
+
+# one-word, two-word and all-ones seeds: the entropy layouts of the hash
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("start, stop", [(0, 5), (2**32 - 3, 2**32)])
+def test_substreams_match_seedsequence_edge_seeds(seed, start, stop):
+    _assert_keyed_like_seedsequence(seed, start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
+    length=st.integers(1, 20),
+)
+def test_substreams_match_seedsequence(seed, start, length):
+    _assert_keyed_like_seedsequence(seed, start, min(start + length, 2**32))
+
+
+def test_substream_index_domain():
+    s = RngSeed(3)
+    for call in (
+        lambda: s.substream(2**32),
+        lambda: s.substreams(2**32 - 1, 2**32 + 1),
+        lambda: s.substream(-1),
+        lambda: s.substreams(4, 3),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    assert s.substreams(7, 7) == []
+
+
 def test_lognormal_moments():
     assert lognormal_mean(GaussianParams(0.0, 1e-12)) == pytest.approx(1.0, abs=1e-10)
     assert lognormal_mean(GaussianParams(0.0, 1.0)) == pytest.approx(

@@ -238,6 +238,65 @@ def test_paths_match_ode_moments():
     assert math.exp(-math.exp(mom["mean"])) == pytest.approx(0.367879, abs=1e-3)
 
 
+def _unthreaded_simulate(q, n_paths, steps, seed, overflow_guard=700.0):
+    """The simulator as it was before threading: a (paths, steps) shock matrix
+    per 2048-path block, each row one SeedSequence((seed, p)) stream, stepped
+    one strided column at a time on one thread."""
+    dt = 1.0 / steps
+    sqrt_dt = math.sqrt(dt)
+    y0 = math.log(abs(q.theta))
+    s2h = 0.5 * q.sigma * q.sigma
+    base_drift = q.mu + s2h
+    sign = q.sign_theta
+    terminal = np.empty(n_paths)
+    for start in range(0, n_paths, 2048):
+        stop = min(start + 2048, n_paths)
+        shocks = np.empty((stop - start, steps))
+        for j, p in enumerate(range(start, stop)):
+            stream = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence((seed.seed, p)))
+            )
+            shocks[j] = stream.standard_normal(steps)
+        y = np.full(stop - start, y0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(steps):
+                y += (base_drift + sign * s2h * np.exp(y)) * dt
+                y += q.sigma * sqrt_dt * shocks[:, i]
+                if sign > 0.0:
+                    y[y > overflow_guard] = np.inf
+        terminal[start:stop] = y
+    keep = np.isfinite(terminal) & (terminal <= overflow_guard)
+    return terminal[keep], int(n_paths - keep.sum())
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize(
+    "q, n_paths, steps, seed, shock_floats",
+    [
+        # two blocks, the second partial; one chunk of steps
+        (MgfQuery(0.0, 0.25, -4.0), 2500, 300, 42, ze._SHOCK_FLOATS),
+        # some paths overflow and are dropped
+        (MgfQuery(0.0, 1.0, 3.0), 3000, 50, 7, ze._SHOCK_FLOATS),
+        # three blocks on two workers, and a small buffer: chunks of steps,
+        # the last one partial
+        (MgfQuery(0.3, 0.7, -0.5), 4500, 700, 9, 2048 * 300),
+    ],
+    ids=["partial-block", "overflow", "chunked"],
+)
+def test_paths_match_unthreaded_reference(
+    monkeypatch, cpus, q, n_paths, steps, seed, shock_floats
+):
+    monkeypatch.setattr(ze.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(ze, "_SHOCK_FLOATS", shock_floats)
+    expected, n_overflowed = _unthreaded_simulate(q, n_paths, steps, RngSeed(seed))
+    ens = simulate_paths(q, n_paths, steps, RngSeed(seed))
+    assert np.array_equal(ens.terminal_values, expected)
+    assert ens.n_overflowed == n_overflowed
+    assert ens.n_paths == n_paths - n_overflowed
+    if q.theta > 0.0:
+        assert 0 < n_overflowed < n_paths
+
+
 def test_paths_overflow_flagged():
     with pytest.raises(PathOverflow):
         simulate_paths(MgfQuery(0.0, 1.0, 20.0), 8, 50, RngSeed(1))
