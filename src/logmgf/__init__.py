@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     LogMgfError,
     NegativeRadicand,
-    NegativeVariance,
     NonFiniteIntegrand,
     PathOverflow,
 )
@@ -18,7 +17,6 @@ from .gaussian import (
     lognormal_mean,
     lognormal_variance,
     pdf,
-    sample,
 )
 from .lambertw import LambertResult, lambert_w0, mgf_asmussen
 from .montecarlo import McConfig, mgf_monte_carlo
@@ -64,7 +62,6 @@ __all__ = [
     "MgfEstimate",
     "MgfQuery",
     "NegativeRadicand",
-    "NegativeVariance",
     "NonFiniteIntegrand",
     "OdeState",
     "PathEnsemble",
@@ -94,6 +91,5 @@ __all__ = [
     "mgf_thintile",
     "mgf_zero_entropy",
     "pdf",
-    "sample",
     "simulate_paths",
 ]

@@ -132,7 +132,7 @@ def _run_report(q: MgfQuery, methods: list[Method], args, table_id: int | None =
             est = _run_one(method, q, args)
             record.value = est.value
             record.diagnostics = est.diagnostics
-        except (LogMgfError, OverflowError) as exc:
+        except LogMgfError as exc:
             record.error = str(exc)
         timings[method.value] = (time.perf_counter() - t0) * 1e3
         if table_id is not None:
@@ -247,9 +247,11 @@ def _cmd_compute(args) -> int:
     methods = args.methods
     report = _run_report(q, methods, args)
     if args.dump_grid:
-        build_grid(
+        grid = build_grid(
             GaussianParams(q.mu, q.sigma), TileGridConfig(n_pairs=args.n_pairs)
-        ).to_csv(args.dump_grid)
+        )
+        with open(args.dump_grid, "w") as fh:
+            grid.to_csv(fh)
     if args.dump_trajectory:
         if q.theta == 0.0:
             print("trajectory dump skipped: theta = 0 has no trajectory", file=sys.stderr)

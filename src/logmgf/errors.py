@@ -32,15 +32,16 @@ class NegativeRadicand(LogMgfError, ArithmeticError):
 
 
 class DivergenceError(LogMgfError, OverflowError):
-    """The moment ODE diverged (positive-theta blow-up), with step index."""
+    """A computation left the float range, with the step or block index.
+
+    zero_entropy and monte_carlo raise it on the divergent MGF at theta > 0:
+    the moment ODE diverges (``step`` is the Euler step), or a Monte Carlo
+    summand or its square overflows (``step`` is the sample block).
+    """
 
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-
-
-class NegativeVariance(LogMgfError, ArithmeticError):
-    """Variance clamping exceeded the configured tolerance of events."""
 
 
 class ConvergenceError(LogMgfError, ArithmeticError):

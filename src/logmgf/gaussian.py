@@ -128,9 +128,6 @@ class RngSeed:
         if not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
 
-    def stream(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-
     def substreams(self, start: int, stop: int) -> list[np.random.Generator]:
         """Sub-streams start, ..., stop - 1; each equals its `substream(i)`.
 
@@ -231,19 +228,6 @@ def inverse_cdf_std(p: float) -> float:
     the open unit interval.
     """
     return float(inverse_cdf_std_array(np.array([p], dtype=np.float64))[0])
-
-
-def sample(p: GaussianParams, stream: np.random.Generator, size: int | None = None):
-    """Draw from N(mu, sigma^2) using the stream's ziggurat normal transform.
-
-    The transform is numpy's Generator.standard_normal, fixed per release of
-    numpy's bit-generator contract, so a given RngSeed reproduces the same
-    draws run over run. Mutates only the passed stream.
-    """
-    z = stream.standard_normal(size)
-    if size is None:
-        return p.mu + p.sigma * float(z)
-    return p.mu + p.sigma * z
 
 
 def lognormal_mean(p: GaussianParams) -> float:

@@ -20,6 +20,7 @@ integral itself), so the leading term alone is returned.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .types import Method, MgfEstimate, MgfQuery
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, domain edge of the principal branch
 _MAX_ITER = 50
 _RESIDUAL_TOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,8 @@ def mgf_asmussen(q: MgfQuery, tile_config: TileGridConfig | None = None) -> MgfE
     """Closed-form MGF benchmark; exact-residual corrected for theta < 0.
 
     Requires a = -theta*sigma^2*e^mu >= -1/e, which always holds for
-    theta <= 0 and bounds the admissible positive theta.
+    theta <= 0 and bounds the admissible positive theta. Raises DomainError
+    there, and where e^mu or the leading term leaves the float range.
     """
     if q.theta == 0.0:
         return MgfEstimate(
@@ -107,6 +110,8 @@ def mgf_asmussen(q: MgfQuery, tile_config: TileGridConfig | None = None) -> MgfE
             {"lambert_w": 0.0, "lambert_iterations": 0.0, "lambert_residual": 0.0},
         )
     s2 = q.sigma * q.sigma
+    if q.mu > _LOG_FLOAT_MAX:
+        raise DomainError(f"e^mu leaves the float range at mu={q.mu!r}")
     a = -q.theta * s2 * math.exp(q.mu)
     if a < _BRANCH_POINT:
         raise DomainError(
@@ -117,7 +122,15 @@ def mgf_asmussen(q: MgfQuery, tile_config: TileGridConfig | None = None) -> MgfE
     w = lw.w
     if 1.0 + w <= 0.0:
         raise DomainError(f"1 + W = {1.0 + w!r} is not positive")  # unreachable on W0
-    leading = math.exp(-(w * w + 2.0 * w) / (2.0 * s2)) / math.sqrt(1.0 + w)
+    exponent = -(w * w + 2.0 * w) / (2.0 * s2)
+    # the cap keeps math.exp from raising; dividing by sqrt(1 + W) < 1 can
+    # still overflow, so both cases are caught by the check that follows
+    leading = math.exp(min(exponent, _LOG_FLOAT_MAX)) / math.sqrt(1.0 + w)
+    if exponent > _LOG_FLOAT_MAX or math.isinf(leading):
+        raise DomainError(
+            f"the leading term exp({exponent:.6g}) / sqrt(1 + W) leaves the "
+            f"float range at theta={q.theta!r}"
+        )
     tail_factor = 1.0
     if q.theta < 0.0:
         c = w / s2

@@ -13,13 +13,13 @@ grid is closed form, built with one array call of the quantile.
 
 The slope is taken in standardized coordinates, which makes grids for any
 (mu, sigma) exact affine images of the standard grid; the builder caches the
-standard grid per (n_pairs, tail_cutoff) and maps it. Working with the
-sigma-scaled density instead would starve the grid: its slope term exceeds 1
-over a wide band for sigma < 1 and the tile budget runs out near the mode
-(coverage stalls around 64% for sigma = 0.1 at N = 80,000).
+standard grid per n_pairs and maps it. Working with the sigma-scaled density
+instead would starve the grid: its slope term exceeds 1 over a wide band for
+sigma < 1 and the tile budget runs out near the mode (coverage stalls around
+64% for sigma = 0.1 at N = 80,000).
 
-The grid covers A_K < 1 of the mass (1 - 1/N unless tail_cutoff stops it
-first). expectation_on_grid averages over that coverage alone (the paper's
+The grid holds K = N - 1 pairs and covers A_K = 1 - 1/N of the mass.
+expectation_on_grid averages over that coverage alone (the paper's
 truncated rule, used by mgf_thintile); expectation adds one cell per tail so
 that the whole mass is counted.
 """
@@ -27,7 +27,6 @@ that the whole mass is counted.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, TextIO
@@ -41,60 +40,49 @@ from .types import Method, MgfEstimate, MgfQuery
 
 @dataclass(frozen=True)
 class TileGridConfig:
-    """Number of tile pairs N and the tail mass at which building stops.
-
-    The tile height h = sqrt(1/(2N)) is derived, never stored.
-    """
+    """Number of tile pairs N; the grid holds N - 1 of them."""
 
     n_pairs: int = 80_000
-    tail_cutoff: float = 1e-12
 
     def __post_init__(self):
         if self.n_pairs < 2:
             raise DomainError(f"n_pairs must be >= 2, got {self.n_pairs}")
-        if not (0.0 < self.tail_cutoff <= 1e-6):
-            raise DomainError(
-                f"tail_cutoff must lie in (0, 1e-6], got {self.tail_cutoff}"
-            )
-
-    @property
-    def tile_height(self) -> float:
-        return math.sqrt(1.0 / (2.0 * self.n_pairs))
 
 
 @dataclass(frozen=True)
 class TileGrid:
     """Immutable tile partition for one Gaussian law.
 
-    coordinates holds x_0 = mu .. x_K (strictly increasing); slopes and
-    increments hold s_n and dA_n for pairs n = 1..K; areas holds the
-    cumulative two-sided mass A_n. K <= n_pairs - 1 and coverage = A_K < 1.
+    coordinates holds x_0 = mu .. x_K (strictly increasing) and areas the
+    cumulative two-sided mass A_n for pairs n = 1..K, with K = n_pairs - 1 of
+    the configuration and coverage = A_K < 1. Every pair has slope s_n = 1
+    and mass dA_n = tile_mass.
     """
 
     mu: float
     sigma: float
     coordinates: np.ndarray
-    slopes: np.ndarray
-    increments: np.ndarray
     areas: np.ndarray
     coverage: float
 
     @property
     def n_pairs(self) -> int:
-        return len(self.increments)
+        return len(self.areas)
 
-    def to_csv(self, sink: TextIO | str) -> None:
+    @property
+    def tile_mass(self) -> float:
+        """Mass dA_n of every pair: A_1 = 1/N exactly."""
+        return float(self.areas[0])
+
+    def to_csv(self, sink: TextIO) -> None:
         """Dump `n,x_n,s_n,dA_n,A_n`, one row per pair of tiles."""
-        buf = sink if not isinstance(sink, str) else io.StringIO()
-        buf.write("n,x_n,s_n,dA_n,A_n\n")
+        sink.write("n,x_n,s_n,dA_n,A_n\n")
+        slope_and_mass = f"1.0,{self.tile_mass!r}"
         for n in range(1, len(self.coordinates)):
-            buf.write(
-                f"{n},{float(self.coordinates[n])!r},{float(self.slopes[n - 1])!r},"
-                f"{float(self.increments[n - 1])!r},{float(self.areas[n - 1])!r}\n"
+            sink.write(
+                f"{n},{float(self.coordinates[n])!r},{slope_and_mass},"
+                f"{float(self.areas[n - 1])!r}\n"
             )
-        if isinstance(sink, str):
-            with open(sink, "w") as fh:
-                fh.write(buf.getvalue())
 
 
 @dataclass(frozen=True)
@@ -107,39 +95,29 @@ class Expectation:
 
 
 @functools.lru_cache(maxsize=16)
-def _standard_grid(n_pairs: int, tail_cutoff: float):
+def _standard_grid(n_pairs: int):
     """Grid for N(0, 1) in closed form; shared by every affine image.
 
     Every slope is 1 (see the module docstring), so pair n carries mass 1/N,
-    A_n = n/N and z_n = -inverse_cdf((1 - A_n)/2). Pairs run from n = 1 to the
-    first n whose uncovered mass 1 - A_n is below tail_cutoff, or to N - 1.
+    A_n = n/N and z_n = -inverse_cdf((1 - A_n)/2) for n = 1 .. N - 1.
     """
     areas = np.arange(1, n_pairs, dtype=np.float64) / n_pairs
-    # 1 - A_n decreases, so the pairs at or above the cutoff form a prefix;
-    # the first pair below it is kept too
-    areas = areas[: np.count_nonzero(1.0 - areas >= tail_cutoff) + 1]
     z = np.concatenate(([0.0], -inverse_cdf_std_array((1.0 - areas) / 2.0)))
-    slopes = np.broadcast_to(1.0, areas.shape)
-    increments = np.broadcast_to(1.0 / n_pairs, areas.shape)
     for a in (z, areas):
         a.flags.writeable = False
-    return z, slopes, increments, areas
+    return z, areas
 
 
 def build_grid(p: GaussianParams, cfg: TileGridConfig) -> TileGrid:
-    """Build the tile grid for N(mu, sigma^2).
+    """Build the tile grid for N(mu, sigma^2) with n_pairs - 1 pairs.
 
-    Maps the cached standard grid to x_n = mu + sigma * z_n. It holds
-    n_pairs - 1 pairs, or fewer when the uncovered tail mass drops below
-    tail_cutoff first.
+    Maps the cached standard grid to x_n = mu + sigma * z_n.
     """
-    z, slopes, increments, areas = _standard_grid(cfg.n_pairs, cfg.tail_cutoff)
+    z, areas = _standard_grid(cfg.n_pairs)
     return TileGrid(
         mu=p.mu,
         sigma=p.sigma,
         coordinates=p.mu + p.sigma * z,
-        slopes=slopes,
-        increments=increments,
         areas=areas,
         coverage=float(areas[-1]),
     )
@@ -186,9 +164,10 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
     # arithmetic mean over the four symmetric points of each pair of tiles
     pair_means = 0.25 * (fx[1:] + fx[:-1] + fm[1:] + fm[:-1])
     # fsum keeps the weighted average exactly rounded, so constants come back
-    # bit-exact after the coverage normalization
-    numer = math.fsum(pair_means * grid.increments)
-    denom = math.fsum(grid.increments)
+    # bit-exact after the coverage normalization. The total mass K/N is one
+    # product: it rounds the exact value once, as fsum of K copies of 1/N does
+    numer = math.fsum(pair_means * grid.tile_mass)
+    denom = grid.n_pairs * grid.tile_mass
     return Expectation(
         value=numer / denom,
         coverage=grid.coverage,

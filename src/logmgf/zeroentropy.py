@@ -8,9 +8,8 @@ moment m_t and variance v_t obey coupled scalar ODEs on t in [0, 1]:
              + v*sigma^4*g^2*(e^v - 1)*e^(2m + v)
              + sign(theta)*2*(sigma^3/sqrt(t))*g*v^(3/2)*e^(m + v/2) ),
 
-with m_0 = log|theta|, g = sqrt(1 + sigma^2/2) when the adjustment factor is
-enabled (else 1), and the MGF estimated from the endpoint as
-exp(sign(theta) * exp(m_1)).
+with m_0 = log|theta|, the adjustment factor g = sqrt(1 + sigma^2/2), and the
+MGF estimated from the endpoint as exp(sign(theta) * exp(m_1)).
 
 Both equations are integrated by explicit Euler with equidistant steps,
 drifts taken at each step's left endpoint. The variance equation never gets
@@ -18,16 +17,17 @@ evaluated at the singular t = 0: v = 0 is an exact fixed point (every
 radicand term carries a factor of v) and is short-circuited without a drift
 call, while a positive v_0 has its first step taken at t = dt. The variance
 therefore stays identically zero from the v_0 = 0 start used for theta < 0,
-which is precisely the regime the comparison tables are built in. Two
-switches depart from that default:
+which is precisely the regime the comparison tables are built in. theta > 0
+starts from v_0 = sigma^2, which activates the variance dynamics (the nonzero
+start stands in for the covariance terms the single-factor adjustment drops).
 
-  * theta > 0 with the adjustment factor starts from v_0 = sigma^2, which
-    activates the variance dynamics (the nonzero start stands in for the
-    covariance terms the single-factor adjustment drops);
-  * variance_kick forces the known initial slope v'(0) = sigma^2 on the
-    first step, waking the variance from the v_0 = 0 fixed point. This is
-    the configuration to use when comparing (m_1, v_1) against simulated
-    paths, whose spread is real for every theta.
+One switch departs from that default: variance_kick forces the known initial
+slope v'(0) = sigma^2 on the first step, waking the variance from the v_0 = 0
+fixed point. This is the configuration to use when comparing (m_1, v_1)
+against simulated paths, whose spread is real for every theta.
+
+Every exponent above _OVERFLOW_GUARD counts as a blow-up: the drifts, the
+estimator and a simulated path stop there, well inside the float range.
 
 An Euler-Maruyama simulator for the underlying SDE
 dy = (mu + sigma^2/2 + sign(theta)*(sigma^2/2)*e^y) dt + sigma dW serves as
@@ -47,6 +47,7 @@ from .errors import DivergenceError, DomainError, NegativeRadicand, PathOverflow
 from .gaussian import RngSeed
 from .types import Method, MgfEstimate, MgfQuery
 
+_OVERFLOW_GUARD = 700.0  # exp(710) overflows a double
 _PATH_BLOCK = 2048  # paths stepped together, one ufunc call per step operation
 # float64 shocks held at once by all path workers together: 32.8 MB, the size
 # of one whole 2048-path x 2000-step shock matrix
@@ -65,8 +66,6 @@ class OdeState:
 @dataclass(frozen=True)
 class ZeroEntropyConfig:
     steps: int = 2000
-    gamma_enabled: bool = True
-    overflow_guard: float = 700.0
     variance_kick: bool = False
 
     def __post_init__(self):
@@ -96,22 +95,18 @@ class PathEnsemble:
     n_overflowed: int = 0
 
 
-def _gamma(q: MgfQuery, cfg: ZeroEntropyConfig) -> float:
-    return math.sqrt(1.0 + 0.5 * q.sigma * q.sigma) if cfg.gamma_enabled else 1.0
-
-
-def drift_m(s: OdeState, q: MgfQuery, overflow_guard: float = 700.0) -> float:
+def drift_m(s: OdeState, q: MgfQuery) -> float:
     """Time derivative of the first moment m_t; theta must be nonzero."""
     exponent = s.m + 0.5 * s.v
-    if exponent > overflow_guard:
+    if exponent > _OVERFLOW_GUARD:
         raise OverflowError(
-            f"moment drift exponent {exponent:.3g} exceeds guard {overflow_guard:.3g}"
+            f"moment drift exponent {exponent:.3g} exceeds guard {_OVERFLOW_GUARD:.3g}"
         )
     s2 = q.sigma * q.sigma
     return q.mu + 0.5 * s2 + q.sign_theta * 0.5 * s2 * math.exp(exponent)
 
 
-def drift_v(s: OdeState, q: MgfQuery, cfg: ZeroEntropyConfig) -> float:
+def drift_v(s: OdeState, q: MgfQuery) -> float:
     """Time derivative of the variance v_t; requires t > 0.
 
     Raises NegativeRadicand when the expression under the square root goes
@@ -122,11 +117,11 @@ def drift_v(s: OdeState, q: MgfQuery, cfg: ZeroEntropyConfig) -> float:
         raise DomainError(f"variance drift needs t > 0, got t={s.t}")
     if s.v < 0.0:
         raise DomainError(f"variance must be nonnegative, got v={s.v}")
-    if 2.0 * s.m + s.v > cfg.overflow_guard or s.m + 0.5 * s.v > cfg.overflow_guard:
+    if 2.0 * s.m + s.v > _OVERFLOW_GUARD or s.m + 0.5 * s.v > _OVERFLOW_GUARD:
         raise OverflowError(
-            f"variance drift exponent exceeds guard {cfg.overflow_guard:.3g}"
+            f"variance drift exponent exceeds guard {_OVERFLOW_GUARD:.3g}"
         )
-    g = _gamma(q, cfg)
+    g = math.sqrt(1.0 + 0.5 * q.sigma * q.sigma)
     s2 = q.sigma * q.sigma
     radicand = (
         s.v * s2 / s.t
@@ -138,6 +133,11 @@ def drift_v(s: OdeState, q: MgfQuery, cfg: ZeroEntropyConfig) -> float:
         * s.v**1.5
         * math.exp(s.m + 0.5 * s.v)
     )
+    if not math.isfinite(radicand):
+        # a term overflowed (and may have met an underflowed factor: inf * 0)
+        raise OverflowError(
+            f"variance radicand {radicand} at t={s.t:.6g} is not finite"
+        )
     if radicand < 0.0:
         raise NegativeRadicand(
             f"variance radicand {radicand:.3g} < 0 at t={s.t:.6g}", s.t, radicand
@@ -157,18 +157,18 @@ def iter_states(
         raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
     dt = 1.0 / cfg.steps
     m = math.log(abs(q.theta))
-    v = q.sigma * q.sigma if (q.theta > 0.0 and cfg.gamma_enabled) else 0.0
+    v = q.sigma * q.sigma if q.theta > 0.0 else 0.0
     yield OdeState(0.0, m, v)
     for i in range(cfg.steps):
         try:
-            dm = drift_m(OdeState(i * dt, m, v), q, cfg.overflow_guard)
+            dm = drift_m(OdeState(i * dt, m, v), q)
             if cfg.variance_kick and i == 0:
                 dv = q.sigma * q.sigma
             elif v == 0.0:
                 dv = 0.0  # exact fixed point; also keeps t = 0 unevaluated
             else:
                 try:
-                    dv = drift_v(OdeState(max(i, 1) * dt, m, v), q, cfg)
+                    dv = drift_v(OdeState(max(i, 1) * dt, m, v), q)
                 except NegativeRadicand:
                     dv = 0.0
                     if info is not None:
@@ -202,10 +202,12 @@ def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEs
     if q.theta == 0.0:
         return MgfEstimate(1.0, Method.ZERO_ENTROPY, {"steps": 0.0})
     state, info = integrate_with_info(q, cfg)
-    inner = math.exp(state.m)
-    if q.sign_theta > 0.0 and inner > cfg.overflow_guard:
+    # the last step can carry m past the drifts' guard; capped, math.exp
+    # cannot raise, and exp(700) still trips the estimator guard for theta > 0
+    inner = math.exp(min(state.m, _OVERFLOW_GUARD))
+    if q.sign_theta > 0.0 and inner > _OVERFLOW_GUARD:
         raise DivergenceError(
-            f"estimator exponent {inner:.3g} exceeds guard {cfg.overflow_guard:.3g}",
+            f"estimator exponent {inner:.3g} exceeds guard {_OVERFLOW_GUARD:.3g}",
             cfg.steps,
         )
     return MgfEstimate(
@@ -227,13 +229,7 @@ def trajectory_csv(q: MgfQuery, cfg: ZeroEntropyConfig, sink: TextIO) -> None:
         sink.write(f"{i},{s.t!r},{s.m!r},{s.v!r}\n")
 
 
-def simulate_paths(
-    q: MgfQuery,
-    n_paths: int,
-    steps: int,
-    seed: RngSeed,
-    overflow_guard: float = 700.0,
-) -> PathEnsemble:
+def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> PathEnsemble:
     """Euler-Maruyama ensemble of y over [0, 1] from y_0 = log|theta|.
 
     Path p draws its shocks from the sub-stream keyed by (seed, p), so the
@@ -294,7 +290,7 @@ def simulate_paths(
                         y += drift
                         y += dw
                         if sign > 0.0:
-                            y[y > overflow_guard] = np.inf
+                            y[y > _OVERFLOW_GUARD] = np.inf
 
     if workers == 1:
         step_blocks(0)
@@ -303,7 +299,7 @@ def simulate_paths(
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(step_blocks, range(workers)))
-    keep = np.isfinite(terminal) & (terminal <= overflow_guard)
+    keep = np.isfinite(terminal) & (terminal <= _OVERFLOW_GUARD)
     n_overflowed = int(n_paths - keep.sum())
     if n_overflowed == n_paths:
         raise PathOverflow(f"all {n_paths} paths exceeded the overflow guard")

@@ -55,6 +55,23 @@ def test_compute_method_error_sets_exit_code(capsys):
     assert "value" not in doc["results"][0]
 
 
+@pytest.mark.parametrize(
+    "mu, sigma, theta",
+    [("800", "1", "-1"), ("0", "0.01", "3678")],
+    ids=["e-mu-overflows", "leading-term-overflows"],
+)
+def test_float_range_errors_are_typed_rows(capsys, mu, sigma, theta):
+    code, out = run_cli(
+        capsys, "compute", "--mu", mu, "--sigma", sigma, "--theta", theta,
+        "--mc-samples", "10000", "--format", "json",
+    )
+    assert code == 1
+    results = json.loads(out)["results"]
+    laplace = next(r for r in results if r["method"] == "laplace_w")
+    assert "leaves the float range" in laplace["error"]
+    assert not any("math range error" in r.get("error", "") for r in results)
+
+
 def test_compute_inside_positive_domain_succeeds(capsys):
     code, out = run_cli(
         capsys, "compute", "--mu", "0", "--sigma", "0.1", "--theta", "5",

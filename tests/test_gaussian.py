@@ -14,7 +14,6 @@ from logmgf import (
     lognormal_mean,
     lognormal_variance,
     pdf,
-    sample,
 )
 from logmgf.gaussian import inverse_cdf_std_array
 
@@ -116,24 +115,6 @@ def test_monotonicity_on_grids():
     ps = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
     zs = [inverse_cdf_std(float(p)) for p in ps]
     assert all(b > a for a, b in zip(zs, zs[1:]))
-
-
-def test_sample_determinism():
-    p = GaussianParams(0.0, 1.0)
-    a = sample(p, RngSeed(7).stream(), 100)
-    b = sample(p, RngSeed(7).stream(), 100)
-    assert np.array_equal(a, b)
-    c = sample(p, RngSeed(8).stream(), 100)
-    assert not np.array_equal(a, c)
-
-
-def test_sample_law_of_large_numbers():
-    n = 1_000_000
-    draws = sample(GaussianParams(0.0, 1.0), RngSeed(123).stream(), n)
-    assert abs(draws.mean()) <= 3.0 / math.sqrt(n)
-    draws2 = sample(GaussianParams(0.0, 2.0), RngSeed(321).stream(), n)
-    v = draws2.var(ddof=1)
-    assert abs(v - 4.0) <= 3.0 * math.sqrt(2.0 / n) * 4.0
 
 
 def test_substreams_differ():

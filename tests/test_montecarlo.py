@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from logmgf import DomainError, McConfig, MgfQuery, RngSeed, mgf_monte_carlo, mgf_thintile
+import logmgf.montecarlo as mc
+from logmgf import (
+    DivergenceError,
+    DomainError,
+    McConfig,
+    MgfQuery,
+    RngSeed,
+    mgf_monte_carlo,
+    mgf_thintile,
+)
 
 
 def test_config_validation():
     with pytest.raises(DomainError):
         McConfig(n_samples=100)
-    with pytest.raises(DomainError):
-        McConfig(batch=0)
 
 
 def test_theta_zero_exact():
@@ -19,22 +26,25 @@ def test_theta_zero_exact():
     assert est.diagnostics["std_error"] == 0.0
 
 
-def test_bit_identical_determinism():
-    cfg = McConfig(n_samples=50_000, seed=RngSeed(9), batch=16_384)
+def test_bit_identical_determinism(monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCK", 16_384)  # four blocks, the last partial
+    cfg = McConfig(n_samples=50_000, seed=RngSeed(9))
     q = MgfQuery(0.0, 0.0625, -1.0)
     a = mgf_monte_carlo(q, cfg)
     b = mgf_monte_carlo(q, cfg)
     assert a.value == b.value
     assert a.diagnostics == b.diagnostics
+    assert a.diagnostics["n_batches"] == 4.0
 
 
-def test_batch_partition_does_not_change_oracle_band():
-    # different batch sizes draw different streams; both must sit inside the
+def test_batch_partition_does_not_change_oracle_band(monkeypatch):
+    # different block sizes draw different streams; both must sit inside the
     # sampling band around the tile value
     q = MgfQuery(0.0, 0.0625, -1.0)
     target = mgf_thintile(q).value
-    for batch in (8_192, 1_048_576):
-        est = mgf_monte_carlo(q, McConfig(n_samples=200_000, seed=RngSeed(13), batch=batch))
+    for block in (8_192, mc._BLOCK):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        est = mgf_monte_carlo(q, McConfig(n_samples=200_000, seed=RngSeed(13)))
         assert abs(est.value - target) <= 4.0 * est.diagnostics["std_error"]
 
 
@@ -79,7 +89,9 @@ def test_standard_error_calibration():
 
 
 def test_positive_theta_overflow_aborts():
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError) as exc_info:
         mgf_monte_carlo(
             MgfQuery(0.0, 3.0, 1.0), McConfig(n_samples=10_000, seed=RngSeed(2))
         )
+    assert isinstance(exc_info.value, DivergenceError)
+    assert exc_info.value.step == 0  # the block that overflowed

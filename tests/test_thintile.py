@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from logmgf import (
@@ -37,23 +39,13 @@ def quad_expectation(f, mu, sigma):
 def test_config_validation():
     with pytest.raises(DomainError):
         TileGridConfig(n_pairs=1)
-    with pytest.raises(DomainError):
-        TileGridConfig(tail_cutoff=0.0)
-    with pytest.raises(DomainError):
-        TileGridConfig(tail_cutoff=1e-3)
-
-
-def test_tile_height_derived():
-    assert TileGridConfig(n_pairs=80_000).tile_height == pytest.approx(0.0025, abs=0)
-    assert TileGridConfig(n_pairs=200).tile_height == math.sqrt(1.0 / 400.0)
 
 
 def test_first_pair_forced_by_construction():
     cfg = TileGridConfig(n_pairs=500)
     grid = build_grid(GaussianParams(0.0, 1.0), cfg)
     two_h2 = 1.0 / cfg.n_pairs
-    assert grid.slopes[0] == 1.0  # slope bracket is zero at the mode, floored
-    assert grid.increments[0] == pytest.approx(two_h2, abs=0)
+    assert grid.tile_mass == two_h2
     expected_x1 = -inverse_cdf_std((1.0 - two_h2) / 2.0)
     assert grid.coordinates[1] == pytest.approx(expected_x1, abs=1e-15)
 
@@ -62,20 +54,18 @@ def test_affine_equivariance():
     cfg = TileGridConfig(n_pairs=2_000)
     base = build_grid(GaussianParams(0.0, 1.0), cfg)
     mapped = build_grid(GaussianParams(3.0, 2.0), cfg)
-    assert np.array_equal(base.increments, mapped.increments)
-    assert np.array_equal(base.slopes, mapped.slopes)
+    assert np.array_equal(base.areas, mapped.areas)
+    assert base.tile_mass == mapped.tile_mass
     assert np.allclose(mapped.coordinates, 3.0 + 2.0 * base.coordinates, atol=1e-12)
 
 
 def test_area_accounting():
     grid = build_grid(GaussianParams(0.0, 1.0), TileGridConfig(n_pairs=5_000))
     assert grid.coverage < 1.0
-    assert grid.coverage == pytest.approx(math.fsum(grid.increments), abs=1e-13)
+    assert grid.coverage == pytest.approx(grid.n_pairs * grid.tile_mass, abs=1e-13)
     assert np.all(np.diff(grid.areas) > 0)
-    # dA_n = 2 h^2 / s_n identity
-    two_h2 = 1.0 / 5_000
-    assert np.allclose(grid.increments, two_h2 / grid.slopes, rtol=0, atol=0)
-    # stopping rule: N-1 pairs unless the tail cutoff bites first
+    # dA_n = 2 h^2 / s_n with every slope 1
+    assert np.allclose(np.diff(grid.areas), 1.0 / 5_000, rtol=0, atol=1e-15)
     assert grid.n_pairs == 5_000 - 1
 
 
@@ -97,15 +87,6 @@ def test_closed_form_matches_slope_recurrence():
     assert np.max(np.abs(grid.coordinates - np.array(z))) <= 1e-12
     # max |z| phi(z) = 1/sqrt(2 pi e) < 1, so the slope floor always wins
     assert all(max(1.0, abs(x) * pdf(x, std)) == 1.0 for x in grid.coordinates)
-
-
-def test_tail_cutoff_stops_early():
-    # 1 - A_n < 1e-6 first holds at n = N - 2, so one pair fewer than N - 1
-    n_pairs = 2_500_000
-    grid = build_grid(GaussianParams(0.0, 1.0),
-                      TileGridConfig(n_pairs=n_pairs, tail_cutoff=1e-6))
-    assert grid.n_pairs == n_pairs - 2
-    assert 1.0 - grid.areas[-2] >= 1e-6 > 1.0 - grid.coverage
 
 
 def test_coordinate_area_consistency():
@@ -241,6 +222,17 @@ def test_csv_dump_round_trip():
     n, x, s, da, a = lines[1].split(",")
     assert int(n) == 1
     assert float(x) == grid.coordinates[1]
-    assert float(s) == grid.slopes[0]
-    assert float(da) == grid.increments[0]
     assert float(a) == grid.areas[0]
+    for row in lines[1:]:
+        _, _, s, da, _ = row.split(",")
+        assert float(s) == 1.0
+        assert float(da) == grid.tile_mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_pairs=st.integers(2, 2_000_000))
+def test_total_mass_product_equals_fsum(n_pairs):
+    # expectation_on_grid divides by (N - 1) * (1/N) in place of the fsum of
+    # N - 1 copies of 1/N: both round the exact total once
+    k = n_pairs - 1
+    assert k * (1.0 / n_pairs) == math.fsum([1.0 / n_pairs] * k)

@@ -60,30 +60,28 @@ def test_drift_v_small_time_limit():
     # with v = sigma^2 * t the radicand tends to sigma^4
     q = MgfQuery(0.0, 0.3, -1.0)
     t = 1e-10
-    got = drift_v(OdeState(t, 0.0, 0.09 * t), q, ZeroEntropyConfig())
+    got = drift_v(OdeState(t, 0.0, 0.09 * t), q)
     assert got == pytest.approx(0.09, rel=1e-4)
 
 
 def test_drift_v_zero_variance_is_fixed_point():
     for theta in (-2.0, 0.7):
-        got = drift_v(OdeState(1.0, 0.3, 0.0), MgfQuery(0.0, 0.5, theta),
-                      ZeroEntropyConfig())
+        got = drift_v(OdeState(1.0, 0.3, 0.0), MgfQuery(0.0, 0.5, theta))
         assert got == 0.0
 
 
 def test_drift_v_frozen_oracle():
     # mpmath 40-digit evaluation at (t=0.5, m=0, v=0.005, sigma=0.1, theta=-1)
-    got = drift_v(OdeState(0.5, 0.0, 0.005), MgfQuery(0.0, 0.1, -1.0),
-                  ZeroEntropyConfig())
+    got = drift_v(OdeState(0.5, 0.0, 0.005), MgfQuery(0.0, 0.1, -1.0))
     assert got == pytest.approx(0.009949750004739704, rel=1e-13)
 
 
 def test_drift_v_rejects_bad_states():
     q = MgfQuery(0.0, 0.1, -1.0)
     with pytest.raises(DomainError):
-        drift_v(OdeState(0.0, 0.0, 0.01), q, ZeroEntropyConfig())
+        drift_v(OdeState(0.0, 0.0, 0.01), q)
     with pytest.raises(DomainError):
-        drift_v(OdeState(0.5, 0.0, -0.01), q, ZeroEntropyConfig())
+        drift_v(OdeState(0.5, 0.0, -0.01), q)
 
 
 @settings(max_examples=300)
@@ -99,7 +97,7 @@ def test_drift_v_radicand_never_negative(t, m, v, sigma, theta):
     # ever fire on floating-point noise at the tangency
     q = MgfQuery(0.0, sigma, theta)
     try:
-        got = drift_v(OdeState(t, m, v), q, ZeroEntropyConfig())
+        got = drift_v(OdeState(t, m, v), q)
     except OverflowError:
         return
     except NegativeRadicand as exc:
@@ -111,7 +109,7 @@ def test_drift_v_radicand_never_negative(t, m, v, sigma, theta):
 def test_integrator_clamps_and_counts(monkeypatch):
     calls = {"n": 0}
 
-    def explode(s, q, cfg):
+    def explode(s, q):
         calls["n"] += 1
         raise NegativeRadicand("forced", s.t, -1.0)
 
@@ -137,10 +135,6 @@ def test_first_euler_step_forced():
 def test_initial_variance_depends_on_sign_and_gamma():
     pos = next(iter_states(MgfQuery(0.0, 0.2, 1.0), ZeroEntropyConfig()))
     assert pos.v == pytest.approx(0.04, rel=1e-12)
-    pos_nogamma = next(
-        iter_states(MgfQuery(0.0, 0.2, 1.0), ZeroEntropyConfig(gamma_enabled=False))
-    )
-    assert pos_nogamma.v == 0.0
     neg = next(iter_states(MgfQuery(0.0, 0.2, -1.0), ZeroEntropyConfig()))
     assert neg.v == 0.0
 
@@ -308,7 +302,7 @@ def test_paths_rejects_theta_zero():
 
 
 def test_ensemble_moments_gaussian_sample():
-    draws = RngSeed(17).stream().standard_normal(200_000)
+    draws = np.random.default_rng(17).standard_normal(200_000)
     mom = ensemble_moments(draws)
     assert mom["mean"] == pytest.approx(0.0, abs=0.01)
     assert mom["variance"] == pytest.approx(1.0, abs=0.02)
