@@ -49,4 +49,4 @@ class ConvergenceError(LogMgfError, ArithmeticError):
 
 
 class PathOverflow(LogMgfError, OverflowError):
-    """A simulated path exceeded the overflow guard."""
+    """A simulated path exceeded the overflow guard, or ensemble moments overflowed."""

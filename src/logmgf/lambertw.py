@@ -101,7 +101,8 @@ def mgf_asmussen(q: MgfQuery, tile_config: TileGridConfig | None = None) -> MgfE
 
     Requires a = -theta*sigma^2*e^mu >= -1/e, which always holds for
     theta <= 0 and bounds the admissible positive theta. Raises DomainError
-    there, and where e^mu or the leading term leaves the float range.
+    there, where sigma^2 underflows to 0, and where e^mu or the leading term
+    leaves the float range.
     """
     if q.theta == 0.0:
         return MgfEstimate(
@@ -110,6 +111,8 @@ def mgf_asmussen(q: MgfQuery, tile_config: TileGridConfig | None = None) -> MgfE
             {"lambert_w": 0.0, "lambert_iterations": 0.0, "lambert_residual": 0.0},
         )
     s2 = q.sigma * q.sigma
+    if s2 == 0.0:
+        raise DomainError(f"sigma^2 underflows to 0 at sigma={q.sigma!r}")
     if q.mu > _LOG_FLOAT_MAX:
         raise DomainError(f"e^mu leaves the float range at mu={q.mu!r}")
     a = -q.theta * s2 * math.exp(q.mu)

@@ -197,11 +197,19 @@ def integrate(q: MgfQuery, cfg: ZeroEntropyConfig) -> OdeState:
 
 
 def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEstimate:
-    """MGF estimate exp(sign(theta) * exp(m_1)); theta = 0 returns 1 exactly."""
+    """MGF estimate exp(sign(theta) * exp(m_1)); theta = 0 returns 1 exactly.
+
+    Raises DomainError where the Euler solve leaves m_1 nan (inf - inf in the
+    drift, e.g. where sigma^2 overflows).
+    """
     cfg = cfg or ZeroEntropyConfig()
     if q.theta == 0.0:
         return MgfEstimate(1.0, Method.ZERO_ENTROPY, {"steps": 0.0})
     state, info = integrate_with_info(q, cfg)
+    if math.isnan(state.m):
+        raise DomainError(
+            f"the moment ODE leaves the float range at mu={q.mu!r}, sigma={q.sigma!r}"
+        )
     # the last step can carry m past the drifts' guard; capped, math.exp
     # cannot raise, and exp(700) still trips the estimator guard for theta > 0
     inner = math.exp(min(state.m, _OVERFLOW_GUARD))
@@ -317,11 +325,18 @@ def ensemble_moments(values: np.ndarray) -> dict[str, float]:
 
     The higher moments are taken of the standardized deviations, so a spread
     whose cube underflows (or whose fourth power overflows) stays finite.
+    Finite values whose mean or variance leaves the float range raise
+    PathOverflow.
     """
     n = len(values)
-    mean = float(np.mean(values))
-    centered = values - mean
-    var = float(np.dot(centered, centered) / (n - 1)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        centered = values - mean
+        var = float(np.dot(centered, centered) / (n - 1)) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise PathOverflow(
+            f"ensemble moments leave the float range: mean {mean!r}, variance {var!r}"
+        )
     if var > 0.0:
         z = centered / math.sqrt(var)
         skew = float(np.mean(z**3))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logmgf.cli import main
 
@@ -219,3 +222,68 @@ def test_entry_point_exit_codes():
         capture_output=True, text=True,
     )
     assert usage.returncode == 2
+
+
+# adversarial floats next to ordinary ones; "--flag=value" keeps "-inf" a value
+_ADVERSARIAL = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0])
+_FORMAT = st.sampled_from(["text", "csv", "json"])
+_SEED = st.integers(-1, 2**64)  # hypothesis tries both bounds, each out of range
+
+
+def _flags(**values):
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+
+
+_QUERY = st.builds(
+    _flags,
+    mu=_ADVERSARIAL | st.floats(-50.0, 50.0),
+    sigma=_ADVERSARIAL | st.floats(1e-3, 20.0),
+    theta=_ADVERSARIAL | st.floats(-50.0, 50.0),
+)
+_ENGINE = st.builds(
+    _flags,
+    steps=st.integers(10, 50),
+    n_pairs=st.integers(2, 2000),
+    mc_samples=st.integers(1000, 5000),
+    seed=_SEED,
+    format=_FORMAT,
+)
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["compute"]),
+        _QUERY,
+        _ENGINE,
+        st.builds(_flags, methods=st.sampled_from(["all", "zero,mc", "tile,laplace"])),
+    ),
+    st.tuples(st.just(["table"]), st.builds(_flags, id=st.integers(1, 3)), _ENGINE),
+    st.tuples(
+        st.just(["paths"]),
+        _QUERY,
+        st.builds(_flags, n=st.integers(2, 64), steps=st.integers(10, 50),
+                  seed=_SEED, format=_FORMAT),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_ARGV)
+# inputs that once escaped as a RuntimeWarning or another exception
+@example(argv=["paths", "--mu=-1e308", "--sigma=20", "--theta=-1", "--n=60",
+               "--steps=10"])  # the ensemble mean overflows
+@example(argv=["paths", "--mu=19.3", "--sigma=0.001", "--theta=-1e308", "--n=31",
+               "--steps=14"])  # the ensemble variance overflows
+@example(argv=["compute", "--mu=1.1", "--sigma=1e308", "--theta=1e308",
+               "--n-pairs=524", "--methods=tile"])  # grid coordinates overflow
+@example(argv=["compute", "--mu=1e308", "--sigma=1e308", "--theta=-5.9",
+               "--n-pairs=310", "--methods=tile"])  # mirrored coordinates: inf - inf
+@example(argv=["compute", "--mu=72", "--sigma=1e-250", "--theta=-1",
+               "--methods=laplace"])  # laplace_w: sigma^2 underflows to 0
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -44,6 +44,8 @@ METHODS = {
 @example(mu=0.0, sigma=3.0, theta=1.0)  # monte_carlo: summands
 @example(mu=0.0, sigma=0.25, theta=182.0)  # monte_carlo: the sample variance
 @example(mu=800.0, sigma=1.0, theta=0.0)  # monte_carlo: 0 * inf where e^x overflows
+@example(mu=72.0, sigma=1e-200, theta=-1.0)  # laplace_w: sigma^2 underflows to 0
+@example(mu=0.0, sigma=1e200, theta=-1.0)  # zero_entropy: sigma^2 overflows, nan m_1
 @example(mu=-138.0, sigma=14.0, theta=1.5035546590265694e-298)  # zero_entropy: nan v
 @example(mu=726.0, sigma=0.25, theta=1.1125369292536007e-308)  # zero_entropy: e^m_1
 def test_finite_value_or_typed_error(method, mu, sigma, theta):
@@ -52,3 +54,12 @@ def test_finite_value_or_typed_error(method, mu, sigma, theta):
     except LogMgfError:
         return
     assert math.isfinite(est.value)
+
+
+@pytest.mark.parametrize("mu", [-800.0, 0.0, 800.0])
+def test_every_method_gives_exactly_one_at_theta_zero(mu):
+    # M(0) = 1 even where e^x overflows and theta * e^x would be 0 * inf
+    q = MgfQuery(mu, 1.0, 0.0)
+    assert {name: run(q).value for name, run in METHODS.items()} == dict.fromkeys(
+        METHODS, 1.0
+    )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator, SeedSequence
 
 import logmgf.montecarlo as mc
 from logmgf import (
@@ -95,3 +96,77 @@ def test_positive_theta_overflow_aborts():
         )
     assert isinstance(exc_info.value, DivergenceError)
     assert exc_info.value.step == 0  # the block that overflowed
+
+
+def reference_monte_carlo(q, n, seed, block):
+    """The estimator written out of place, one fresh generator per block.
+
+    Returns (value, std_error), or the block index of the first overflow.
+    """
+    sums, sqs, shift = [], [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, start in enumerate(range(0, n, block)):
+            x = Generator(PCG64(SeedSequence((seed, b)))).standard_normal(
+                min(block, n - start)
+            )
+            f = np.exp(q.theta * np.exp(q.mu + q.sigma * x))
+            if shift is None:
+                shift = float(f.mean())
+            d = f - shift
+            sums.append(float(np.sum(d)))
+            sqs.append(float(np.sum(d * d)))
+            if not math.isfinite(sqs[-1]):
+                return b
+    total = math.fsum(sums)
+    var = max((math.fsum(sqs) - total**2 / n) / (n - 1), 0.0)
+    return shift + total / n, math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize(
+    "q", [MgfQuery(0.0, 1.0, -2.0), MgfQuery(0.3, 0.7, -5.5), MgfQuery(-0.2, 0.1, 0.4)]
+)
+def test_cached_in_place_blocks_equal_the_reference(monkeypatch, q, n_blocks):
+    block = 20_000
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    n = block * n_blocks - 7_000  # the last block is partial
+    est = mgf_monte_carlo(q, McConfig(n_samples=n, seed=RngSeed(11)))
+    assert (est.value, est.diagnostics["std_error"]) == reference_monte_carlo(
+        q, n, 11, block
+    )
+    assert est.diagnostics["n_batches"] == float(n_blocks)
+
+
+def test_cold_cache_equals_warm_and_holds_one_read_only_block():
+    q = MgfQuery(0.0, 1.0, -2.0)
+    cfg = McConfig(n_samples=10_000, seed=RngSeed(4))
+    mc._normals.cache_clear()
+    cold = mgf_monte_carlo(q, cfg)
+    warm = mgf_monte_carlo(q, cfg)
+    assert mc._normals.cache_info().hits == 1
+    assert (cold.value, cold.diagnostics) == (warm.value, warm.diagnostics)
+    x = mc._normals(RngSeed(4), 0, 10_000)
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    mgf_monte_carlo(q, McConfig(n_samples=10_000, seed=RngSeed(5)))
+    assert mc._normals.cache_info().currsize == 1
+
+
+def test_overflow_block_matches_the_reference(monkeypatch):
+    # at sigma = 1.8 the first overflowing summand falls in block 0, 1 or 2,
+    # or in none of the three, depending on the seed
+    block, n = 1_024, 3_000
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    q = MgfQuery(0.0, 1.8, 1.0)
+    outcomes = set()
+    for seed in range(8):
+        want = reference_monte_carlo(q, n, seed, block)
+        try:
+            est = mgf_monte_carlo(q, McConfig(n_samples=n, seed=RngSeed(seed)))
+            got = (est.value, est.diagnostics["std_error"])
+        except DivergenceError as exc:
+            got = exc.step
+        assert got == want
+        outcomes.add(want if isinstance(want, int) else "finite")
+    assert outcomes == {0, 1, 2, "finite"}

@@ -296,6 +296,13 @@ def test_paths_overflow_flagged():
         simulate_paths(MgfQuery(0.0, 1.0, 20.0), 8, 50, RngSeed(1))
 
 
+def test_moments_beyond_the_float_range_raise_path_overflow():
+    with pytest.raises(PathOverflow):
+        ensemble_moments(np.array([-1e308, -1e308]))  # the sum for the mean
+    with pytest.raises(PathOverflow):
+        ensemble_moments(np.array([-1e308, 1e308]))  # the sum of squares
+
+
 def test_paths_rejects_theta_zero():
     with pytest.raises(DomainError):
         simulate_paths(MgfQuery(0.0, 1.0, 0.0), 10, 10, RngSeed(0))
