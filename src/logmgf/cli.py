@@ -332,7 +332,9 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=2000,
-                   help="Euler steps for the moment/variance system")
+                   help="Euler steps for the moment/variance system (zero_entropy "
+                        "at theta > 0 and --dump-trajectory; theta < 0 is solved "
+                        "exactly)")
     p.add_argument("--n-pairs", type=int, default=80_000,
                    help="tile pairs for the grid integrator")
     p.add_argument("--mc-samples", type=int, default=1_000_000,

@@ -165,6 +165,13 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
         raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
     if not np.isfinite(fm).all():
         x_bad = _first_bad(fm, mirrored)
+        if math.isnan(x_bad):
+            # 2*mu - x_n is inf - inf where 2*mu overflows: name the first
+            # finite grid point whose mirror left the float range (x_0 = mu)
+            x_bad = float(xs[np.isfinite(xs) & ~np.isfinite(mirrored)][0])
+            raise NonFiniteIntegrand(
+                f"mirror 2*mu - x_n of grid point x_n={x_bad!r} is not finite", x_bad
+            )
         raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
     # arithmetic mean over the four symmetric points of each pair of tiles
     pair_means = 0.25 * (fx[1:] + fx[:-1] + fm[1:] + fm[:-1])

@@ -17,9 +17,12 @@ evaluated at the singular t = 0: v = 0 is an exact fixed point (every
 radicand term carries a factor of v) and is short-circuited without a drift
 call, while a positive v_0 has its first step taken at t = dt. The variance
 therefore stays identically zero from the v_0 = 0 start used for theta < 0,
-which is precisely the regime the comparison tables are built in. theta > 0
-starts from v_0 = sigma^2, which activates the variance dynamics (the nonzero
-start stands in for the covariance terms the single-factor adjustment drops).
+the regime of tables 2 and 3. There the moment equation is
+m' = a - b e^m (a = mu + sigma^2/2, b = sigma^2/2), which mgf_zero_entropy
+solves exactly instead of stepping; Euler converges to that solution at
+first order. theta > 0 starts from v_0 = sigma^2, which activates the
+variance dynamics (the nonzero start stands in for the covariance terms the
+single-factor adjustment drops).
 
 One switch departs from that default: variance_kick forces the known initial
 slope v'(0) = sigma^2 on the first step, waking the variance from the v_0 = 0
@@ -95,15 +98,62 @@ class PathEnsemble:
     n_overflowed: int = 0
 
 
-def drift_m(s: OdeState, q: MgfQuery) -> float:
-    """Time derivative of the first moment m_t; theta must be nonzero."""
-    exponent = s.m + 0.5 * s.v
+def _moment_drift(m: float, v: float, base: float, pull: float) -> float:
+    """m' = base + pull * e^(m + v/2), with base = mu + sigma^2/2 and
+    pull = sign(theta) * sigma^2/2."""
+    exponent = m + 0.5 * v
     if exponent > _OVERFLOW_GUARD:
         raise OverflowError(
             f"moment drift exponent {exponent:.3g} exceeds guard {_OVERFLOW_GUARD:.3g}"
         )
+    return base + pull * math.exp(exponent)
+
+
+def _variance_drift(
+    t: float, m: float, v: float, s2: float, g: float, sign2: float, sigma3: float
+) -> float:
+    """v' at t > 0 and v >= 0, with s2 = sigma^2, g the adjustment factor,
+    sign2 = 2 * sign(theta) and sigma3 = sigma^3."""
+    if 2.0 * m + v > _OVERFLOW_GUARD or m + 0.5 * v > _OVERFLOW_GUARD:
+        raise OverflowError(
+            f"variance drift exponent exceeds guard {_OVERFLOW_GUARD:.3g}"
+        )
+    radicand = (
+        v * s2 / t
+        + v * s2 * s2 * g * g * math.expm1(v) * math.exp(2.0 * m + v)
+        + sign2 * (sigma3 / math.sqrt(t)) * g * v**1.5 * math.exp(m + 0.5 * v)
+    )
+    if not math.isfinite(radicand):
+        # a term overflowed (and may have met an underflowed factor: inf * 0)
+        raise OverflowError(
+            f"variance radicand {radicand} at t={t:.6g} is not finite"
+        )
+    if radicand < 0.0:
+        raise NegativeRadicand(
+            f"variance radicand {radicand:.3g} < 0 at t={t:.6g}", t, radicand
+        )
+    return math.sqrt(radicand)
+
+
+def _moment_constants(q: MgfQuery) -> tuple[float, float]:
+    """The per-query arguments base, pull of _moment_drift."""
     s2 = q.sigma * q.sigma
-    return q.mu + 0.5 * s2 + q.sign_theta * 0.5 * s2 * math.exp(exponent)
+    return q.mu + 0.5 * s2, q.sign_theta * 0.5 * s2
+
+
+def _variance_constants(q: MgfQuery) -> tuple[float, float, float, float]:
+    """The per-query arguments s2, g, sign2, sigma3 of _variance_drift."""
+    return (
+        q.sigma * q.sigma,
+        math.sqrt(1.0 + 0.5 * q.sigma * q.sigma),
+        q.sign_theta * 2.0,
+        q.sigma**3,
+    )
+
+
+def drift_m(s: OdeState, q: MgfQuery) -> float:
+    """Time derivative of the first moment m_t; theta must be nonzero."""
+    return _moment_drift(s.m, s.v, *_moment_constants(q))
 
 
 def drift_v(s: OdeState, q: MgfQuery) -> float:
@@ -117,32 +167,40 @@ def drift_v(s: OdeState, q: MgfQuery) -> float:
         raise DomainError(f"variance drift needs t > 0, got t={s.t}")
     if s.v < 0.0:
         raise DomainError(f"variance must be nonnegative, got v={s.v}")
-    if 2.0 * s.m + s.v > _OVERFLOW_GUARD or s.m + 0.5 * s.v > _OVERFLOW_GUARD:
-        raise OverflowError(
-            f"variance drift exponent exceeds guard {_OVERFLOW_GUARD:.3g}"
-        )
-    g = math.sqrt(1.0 + 0.5 * q.sigma * q.sigma)
-    s2 = q.sigma * q.sigma
-    radicand = (
-        s.v * s2 / s.t
-        + s.v * s2 * s2 * g * g * math.expm1(s.v) * math.exp(2.0 * s.m + s.v)
-        + q.sign_theta
-        * 2.0
-        * (q.sigma**3 / math.sqrt(s.t))
-        * g
-        * s.v**1.5
-        * math.exp(s.m + 0.5 * s.v)
-    )
-    if not math.isfinite(radicand):
-        # a term overflowed (and may have met an underflowed factor: inf * 0)
-        raise OverflowError(
-            f"variance radicand {radicand} at t={s.t:.6g} is not finite"
-        )
-    if radicand < 0.0:
-        raise NegativeRadicand(
-            f"variance radicand {radicand:.3g} < 0 at t={s.t:.6g}", s.t, radicand
-        )
-    return math.sqrt(radicand)
+    return _variance_drift(s.t, s.m, s.v, *_variance_constants(q))
+
+
+def _euler(
+    q: MgfQuery, cfg: ZeroEntropyConfig, info: IntegrationInfo | None
+) -> Iterator[tuple[float, float, float]]:
+    """Euler trajectory of (m, v) over [0, 1] as (t, m, v) floats."""
+    if q.theta == 0.0:
+        raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
+    dt = 1.0 / cfg.steps
+    base, pull = _moment_constants(q)
+    s2, g, sign2, sigma3 = _variance_constants(q)
+    m = math.log(abs(q.theta))
+    v = s2 if q.theta > 0.0 else 0.0
+    yield 0.0, m, v
+    for i in range(cfg.steps):
+        try:
+            dm = _moment_drift(m, v, base, pull)
+            if cfg.variance_kick and i == 0:
+                dv = s2
+            elif v == 0.0:
+                dv = 0.0  # exact fixed point; also keeps t = 0 unevaluated
+            else:
+                try:
+                    dv = _variance_drift(max(i, 1) * dt, m, v, s2, g, sign2, sigma3)
+                except NegativeRadicand:
+                    dv = 0.0
+                    if info is not None:
+                        info.clamped_steps += 1
+        except OverflowError as exc:
+            raise DivergenceError(f"diverged at step {i}: {exc}", i) from exc
+        m += dm * dt
+        v += dv * dt
+        yield (i + 1) * dt, m, v
 
 
 def iter_states(
@@ -153,42 +211,17 @@ def iter_states(
     The first yielded state is the initial condition; each subsequent one is
     the state after one step of size 1/steps.
     """
-    if q.theta == 0.0:
-        raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
-    dt = 1.0 / cfg.steps
-    m = math.log(abs(q.theta))
-    v = q.sigma * q.sigma if q.theta > 0.0 else 0.0
-    yield OdeState(0.0, m, v)
-    for i in range(cfg.steps):
-        try:
-            dm = drift_m(OdeState(i * dt, m, v), q)
-            if cfg.variance_kick and i == 0:
-                dv = q.sigma * q.sigma
-            elif v == 0.0:
-                dv = 0.0  # exact fixed point; also keeps t = 0 unevaluated
-            else:
-                try:
-                    dv = drift_v(OdeState(max(i, 1) * dt, m, v), q)
-                except NegativeRadicand:
-                    dv = 0.0
-                    if info is not None:
-                        info.clamped_steps += 1
-        except OverflowError as exc:
-            raise DivergenceError(f"diverged at step {i}: {exc}", i) from exc
-        m += dm * dt
-        v += dv * dt
-        yield OdeState((i + 1) * dt, m, v)
+    for t, m, v in _euler(q, cfg, info):
+        yield OdeState(t, m, v)
 
 
 def integrate_with_info(
     q: MgfQuery, cfg: ZeroEntropyConfig
 ) -> tuple[OdeState, IntegrationInfo]:
     info = IntegrationInfo()
-    state = None
-    for state in iter_states(q, cfg, info):
+    for t, m, v in _euler(q, cfg, info):
         pass
-    assert state is not None
-    return state, info
+    return OdeState(t, m, v), info
 
 
 def integrate(q: MgfQuery, cfg: ZeroEntropyConfig) -> OdeState:
@@ -196,23 +229,56 @@ def integrate(q: MgfQuery, cfg: ZeroEntropyConfig) -> OdeState:
     return integrate_with_info(q, cfg)[0]
 
 
+def _frozen_variance_m1(q: MgfQuery) -> float:
+    """m_1 solved exactly where v stays 0 (theta < 0, no variance kick).
+
+    With v = 0 the moment ODE is m' = a - b e^m, a = mu + sigma^2/2 and
+    b = sigma^2/2, so u = e^(-m) obeys the linear u' = b - a u and
+    u_1 = e^(-a)/|theta| + b * phi(a), phi(a) = -expm1(-a)/a, phi(0) = 1.
+    The two terms are added in log space, so neither leaves the float range;
+    m_1 = -log(u_1). nan where a is not finite (sigma^2 overflows).
+    """
+    b = 0.5 * q.sigma * q.sigma
+    a = q.mu + b
+    if not math.isfinite(a):
+        return math.nan
+    log_start = -a - math.log(-q.theta)
+    if b == 0.0:  # sigma^2 underflows: m' = a
+        return -log_start
+    if a == 0.0:
+        log_phi = 0.0
+    elif a > -_OVERFLOW_GUARD:
+        log_phi = math.log(-math.expm1(-a) / a)
+    else:  # e^(-a) - 1 rounds to e^(-a), which would overflow
+        log_phi = -a - math.log(-a)
+    return -float(np.logaddexp(log_start, math.log(b) + log_phi))
+
+
 def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEstimate:
     """MGF estimate exp(sign(theta) * exp(m_1)); theta = 0 returns 1 exactly.
 
-    Raises DomainError where the Euler solve leaves m_1 nan (inf - inf in the
-    drift, e.g. where sigma^2 overflows).
+    For theta < 0 without variance_kick, v stays 0 and m_1 comes from the
+    exact solution (_frozen_variance_m1): no Euler steps are taken and the
+    diagnostics report steps = 0. Otherwise m_1 is the Euler endpoint.
+
+    Raises DomainError where m_1 is nan (inf - inf in the drift, e.g. where
+    sigma^2 overflows).
     """
     cfg = cfg or ZeroEntropyConfig()
     if q.theta == 0.0:
         return MgfEstimate(1.0, Method.ZERO_ENTROPY, {"steps": 0.0})
-    state, info = integrate_with_info(q, cfg)
-    if math.isnan(state.m):
+    if q.theta < 0.0 and not cfg.variance_kick:
+        m_1, v_1, steps, clamped_steps = _frozen_variance_m1(q), 0.0, 0, 0
+    else:
+        state, info = integrate_with_info(q, cfg)
+        m_1, v_1, steps, clamped_steps = state.m, state.v, cfg.steps, info.clamped_steps
+    if math.isnan(m_1):
         raise DomainError(
             f"the moment ODE leaves the float range at mu={q.mu!r}, sigma={q.sigma!r}"
         )
     # the last step can carry m past the drifts' guard; capped, math.exp
     # cannot raise, and exp(700) still trips the estimator guard for theta > 0
-    inner = math.exp(min(state.m, _OVERFLOW_GUARD))
+    inner = math.exp(min(m_1, _OVERFLOW_GUARD))
     if q.sign_theta > 0.0 and inner > _OVERFLOW_GUARD:
         raise DivergenceError(
             f"estimator exponent {inner:.3g} exceeds guard {_OVERFLOW_GUARD:.3g}",
@@ -222,10 +288,10 @@ def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEs
         value=math.exp(q.sign_theta * inner),
         method=Method.ZERO_ENTROPY,
         diagnostics={
-            "m_1": state.m,
-            "v_1": state.v,
-            "steps": float(cfg.steps),
-            "clamped_steps": float(info.clamped_steps),
+            "m_1": m_1,
+            "v_1": v_1,
+            "steps": float(steps),
+            "clamped_steps": float(clamped_steps),
         },
     )
 

@@ -287,3 +287,15 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_lost_mirror_names_a_finite_grid_point(capsys):
+    # 2*mu overflows, so the mirror 2*mu - x_n of an overflowed x_n is
+    # inf - inf; the error names the grid point x_0 = mu instead of nan
+    code, out = run_cli(
+        capsys, "compute", "--mu=1e308", "--sigma=1e308", "--theta=-5.9",
+        "--n-pairs=310", "--methods=tile", "--format=json",
+    )
+    assert code == 1
+    (row,) = json.loads(out)["results"]
+    assert row["error"] == "mirror 2*mu - x_n of grid point x_n=1e+308 is not finite"

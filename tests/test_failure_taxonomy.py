@@ -48,6 +48,9 @@ METHODS = {
 @example(mu=0.0, sigma=1e200, theta=-1.0)  # zero_entropy: sigma^2 overflows, nan m_1
 @example(mu=-138.0, sigma=14.0, theta=1.5035546590265694e-298)  # zero_entropy: nan v
 @example(mu=726.0, sigma=0.25, theta=1.1125369292536007e-308)  # zero_entropy: e^m_1
+# the closed form for theta < 0: e^{-a} overflows (the value is 1), and a = 0
+@example(mu=-800.0, sigma=1.0, theta=-2.0)
+@example(mu=-0.5, sigma=1.0, theta=-2.0)
 def test_finite_value_or_typed_error(method, mu, sigma, theta):
     try:
         est = METHODS[method](MgfQuery(mu, sigma, theta))

@@ -109,12 +109,12 @@ def test_drift_v_radicand_never_negative(t, m, v, sigma, theta):
 def test_integrator_clamps_and_counts(monkeypatch):
     calls = {"n": 0}
 
-    def explode(s, q):
+    def explode(t, m, v, *constants):
         calls["n"] += 1
-        raise NegativeRadicand("forced", s.t, -1.0)
+        raise NegativeRadicand("forced", t, -1.0)
 
-    monkeypatch.setattr(ze, "drift_v", explode)
-    q = MgfQuery(0.0, 0.1, 1.0)  # positive theta so v_0 > 0 engages drift_v
+    monkeypatch.setattr(ze, "_variance_drift", explode)
+    q = MgfQuery(0.0, 0.1, 1.0)  # positive theta so v_0 > 0 engages v'
     state, info = integrate_with_info(q, ZeroEntropyConfig(steps=100))
     assert calls["n"] == 100
     assert info.clamped_steps == 100
@@ -199,6 +199,170 @@ def test_trajectory_csv():
     assert lines[0] == "i,t,m,v"
     assert len(lines) == 52  # initial state + 50 steps + header
     assert lines[1].startswith("0,0.0,")
+
+
+def test_closed_form_mends_unstable_euler_step():
+    # 200 Euler steps overshoot on the first step here (b e^m is about 2e6)
+    # and used to return 1.0 with m_1 = -8990.8; exactly, u_1 = b/a = 0.2
+    est = mgf_zero_entropy(MgfQuery(800.0, 20.0, -1e4), ZeroEntropyConfig(steps=200))
+    assert est.diagnostics["m_1"] == pytest.approx(math.log(5.0), rel=1e-15)
+    assert est.value == pytest.approx(math.exp(-5.0), rel=1e-14)
+    assert est.diagnostics["v_1"] == 0.0
+    assert est.diagnostics["steps"] == 0.0
+    assert est.diagnostics["clamped_steps"] == 0.0
+
+
+def test_closed_form_edges():
+    # a = mu + sigma^2/2 = 0: u_1 = 1/|theta| + b
+    est = mgf_zero_entropy(MgfQuery(-0.5, 1.0, -4.0))
+    assert est.diagnostics["m_1"] == pytest.approx(-math.log(0.75), rel=1e-15)
+    # e^{-a} overflows: m_1 = log|theta| + a - log(1 + b|theta|/|a|) stays
+    # finite and the value is its limit, 1
+    est = mgf_zero_entropy(MgfQuery(-800.0, 1.0, -2.0))
+    assert est.diagnostics["m_1"] == pytest.approx(
+        math.log(2.0) - 799.5 - math.log1p(1.0 / 799.5), rel=1e-15
+    )
+    assert est.value == 1.0
+    # sigma^2 underflows to 0: m' = a, so m_1 = log|theta| + mu
+    est = mgf_zero_entropy(MgfQuery(3.0, 1e-200, -2.0))
+    assert est.diagnostics["m_1"] == pytest.approx(math.log(2.0) + 3.0, rel=1e-15)
+    with pytest.raises(DomainError):
+        mgf_zero_entropy(MgfQuery(0.0, 1e200, -1.0))
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, theta",
+    [
+        (0.0, 1.0, -0.5),  # |theta| < 1: e^m rises towards a/b
+        (-0.5, 1.0, -2.0),  # a = 0 exactly
+        (0.0, 0.0625, -4.0),
+        (0.3, 0.5, -8.0),
+    ],
+)
+def test_euler_converges_to_closed_form_at_first_order(mu, sigma, theta):
+    q = MgfQuery(mu, sigma, theta)
+    exact = mgf_zero_entropy(q).diagnostics["m_1"]
+    gaps = [abs(integrate(q, ZeroEntropyConfig(steps=n)).m - exact) for n in (500, 1000, 2000)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 0.45 <= fine / coarse <= 0.55
+
+
+def _reference_drift_m(s, q):
+    exponent = s.m + 0.5 * s.v
+    if exponent > 700.0:
+        raise OverflowError(f"moment drift exponent {exponent:.3g}")
+    s2 = q.sigma * q.sigma
+    return q.mu + 0.5 * s2 + q.sign_theta * 0.5 * s2 * math.exp(exponent)
+
+
+def _reference_drift_v(s, q):
+    if 2.0 * s.m + s.v > 700.0 or s.m + 0.5 * s.v > 700.0:
+        raise OverflowError("variance drift exponent")
+    g = math.sqrt(1.0 + 0.5 * q.sigma * q.sigma)
+    s2 = q.sigma * q.sigma
+    radicand = (
+        s.v * s2 / s.t
+        + s.v * s2 * s2 * g * g * math.expm1(s.v) * math.exp(2.0 * s.m + s.v)
+        + q.sign_theta
+        * 2.0
+        * (q.sigma**3 / math.sqrt(s.t))
+        * g
+        * s.v**1.5
+        * math.exp(s.m + 0.5 * s.v)
+    )
+    if not math.isfinite(radicand):
+        raise OverflowError("variance radicand")
+    if radicand < 0.0:
+        raise NegativeRadicand("negative", s.t, radicand)
+    return math.sqrt(radicand)
+
+
+def _reference_states(q, cfg, clamps):
+    """The Euler loop as it was with one OdeState per drift call; clamped
+    steps are appended to `clamps`."""
+    dt = 1.0 / cfg.steps
+    m = math.log(abs(q.theta))
+    v = q.sigma * q.sigma if q.theta > 0.0 else 0.0
+    yield OdeState(0.0, m, v)
+    for i in range(cfg.steps):
+        try:
+            dm = _reference_drift_m(OdeState(i * dt, m, v), q)
+            if cfg.variance_kick and i == 0:
+                dv = q.sigma * q.sigma
+            elif v == 0.0:
+                dv = 0.0
+            else:
+                try:
+                    dv = _reference_drift_v(OdeState(max(i, 1) * dt, m, v), q)
+                except NegativeRadicand:
+                    dv = 0.0
+                    clamps.append(i)
+        except OverflowError as exc:
+            raise DivergenceError(f"diverged at step {i}", i) from exc
+        m += dm * dt
+        v += dv * dt
+        yield OdeState((i + 1) * dt, m, v)
+
+
+def _euler_run(states, info):
+    """(m_1.hex, v_1.hex, clamped steps, divergence step, CSV bytes) of one
+    trajectory; info() reads the clamp count once the states are spent."""
+    buf = io.StringIO()
+    buf.write("i,t,m,v\n")
+    state = None
+    try:
+        for i, state in enumerate(states):
+            buf.write(f"{i},{state.t!r},{state.m!r},{state.v!r}\n")
+    except DivergenceError as exc:
+        return None, None, info(), exc.step, buf.getvalue()
+    return state.m.hex(), state.v.hex(), info(), None, buf.getvalue()
+
+
+def _assert_euler_bit_identical(q, cfg):
+    clamps = []
+    expected = _euler_run(_reference_states(q, cfg, clamps), lambda: len(clamps))
+    info = ze.IntegrationInfo()
+    got = _euler_run(iter_states(q, cfg, info), lambda: info.clamped_steps)
+    assert got == expected
+    # the two public consumers of the same loop
+    buf = io.StringIO()
+    try:
+        trajectory_csv(q, cfg, buf)
+    except DivergenceError:
+        pass
+    assert buf.getvalue() == expected[4]
+    try:
+        state, info = integrate_with_info(q, cfg)
+    except DivergenceError as exc:
+        assert exc.step == expected[3]
+    else:
+        assert (state.m.hex(), state.v.hex(), info.clamped_steps) == expected[:3]
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, theta, kick",
+    [(mu, s, t, False) for mu, s, t in TABLE1_SETS]
+    + [(mu, s, t, True) for mu, s, t in TABLE1_SETS + TABLE2_SETS + TABLE3_SETS]
+    + [(0.0, 1.0, 5.0, False)],  # diverges
+)
+def test_euler_bit_identical_to_reference_on_tables(mu, sigma, theta, kick):
+    _assert_euler_bit_identical(
+        MgfQuery(mu, sigma, theta), ZeroEntropyConfig(variance_kick=kick)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.01, 3.0),
+    theta=st.floats(0.05, 8.0) | st.floats(-8.0, -0.05),
+    steps=st.integers(10, 400),
+)
+def test_euler_bit_identical_to_reference(mu, sigma, theta, steps):
+    # theta < 0 only with the kick: without it v stays 0 and the closed form
+    # answers instead
+    q = MgfQuery(mu, sigma, theta)
+    _assert_euler_bit_identical(q, ZeroEntropyConfig(steps, variance_kick=theta < 0.0))
 
 
 def test_paths_drift_only_limit():
