@@ -142,12 +142,20 @@ def _moment_constants(q: MgfQuery) -> tuple[float, float]:
 
 
 def _variance_constants(q: MgfQuery) -> tuple[float, float, float, float]:
-    """The per-query arguments s2, g, sign2, sigma3 of _variance_drift."""
+    """The per-query arguments s2, g, sign2, sigma3 of _variance_drift.
+
+    sigma^3 beyond the float range is inf, so the radicand is not finite and
+    _variance_drift raises OverflowError inside the step that first needs it.
+    """
+    try:
+        sigma3 = q.sigma**3
+    except OverflowError:
+        sigma3 = math.inf
     return (
         q.sigma * q.sigma,
         math.sqrt(1.0 + 0.5 * q.sigma * q.sigma),
         q.sign_theta * 2.0,
-        q.sigma**3,
+        sigma3,
     )
 
 

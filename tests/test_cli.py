@@ -278,6 +278,8 @@ _ARGV = st.one_of(
                "--n-pairs=310", "--methods=tile"])  # mirrored coordinates: inf - inf
 @example(argv=["compute", "--mu=72", "--sigma=1e-250", "--theta=-1",
                "--methods=laplace"])  # laplace_w: sigma^2 underflows to 0
+@example(argv=["compute", "--mu=1e+308", "--sigma=1e+308", "--theta=1e+308",
+               "--steps=10", "--methods=zero"])  # zero_entropy: sigma^3 overflows
 def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -343,7 +343,9 @@ def _assert_euler_bit_identical(q, cfg):
     "mu, sigma, theta, kick",
     [(mu, s, t, False) for mu, s, t in TABLE1_SETS]
     + [(mu, s, t, True) for mu, s, t in TABLE1_SETS + TABLE2_SETS + TABLE3_SETS]
-    + [(0.0, 1.0, 5.0, False)],  # diverges
+    + [(0.0, 1.0, 5.0, False)]  # diverges
+    # sigma^3 overflows: the step that first needs it diverges
+    + [(0.0, 1e200, 1.0, False), (0.0, 1e200, -1.0, True), (1e308, 1e308, 1e308, False)],
 )
 def test_euler_bit_identical_to_reference_on_tables(mu, sigma, theta, kick):
     _assert_euler_bit_identical(
