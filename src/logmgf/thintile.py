@@ -128,13 +128,18 @@ def build_grid(p: GaussianParams, cfg: TileGridConfig) -> TileGrid:
 
 
 def _evaluate(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """Apply f over an abscissa array, accepting scalar-only callables."""
+    """Apply f over an abscissa array, accepting scalar-only callables.
+
+    f is called element-wise when it rejects the array with a TypeError (as
+    math.cos does) or returns another shape. Any other exception propagates
+    from the one array call.
+    """
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = np.asarray(f(xs), dtype=np.float64)
         if out.shape == xs.shape:
             return out
-    except (TypeError, ValueError):
+    except TypeError:
         pass
     return np.asarray([f(float(x)) for x in xs], dtype=np.float64)
 
@@ -142,6 +147,44 @@ def _evaluate(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
 def _first_bad(values: np.ndarray, xs: np.ndarray) -> float:
     idx = int(np.flatnonzero(~np.isfinite(values))[0])
     return float(xs[idx])
+
+
+def _exact_sum(w: np.ndarray) -> float:
+    """Return math.fsum(w.tolist()), doing most of the work in numpy passes.
+
+    A correctly rounded sum is unique, so any exact summation returns fsum's
+    float. Each pass splits the remainder r without error (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31(1), 2008): with sigma = 2^k,
+    hi = (sigma + r) - sigma and r - hi are exact. Choosing 2^m > 2n and
+    |r| <= 2^(k-m) makes every hi a multiple of 2^(k-53) with
+    |hi| <= 2^(k-m), so every partial sum of the his is exact and numpy may
+    add them in any order. The new remainder is at most 2^(k-53), which sets
+    the next k. Passes stop once at most n/64 remainders are nonzero, and
+    fsum adds the pass sums to them. A non-finite or all-zero w, or one whose
+    2^k would overflow, goes to fsum whole: that keeps fsum's inf, nan,
+    OverflowError and signed zero.
+    """
+    n = len(w)
+    top = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
+    m = (2 * n).bit_length()
+    k = math.frexp(top)[1] + m
+    if not 0.0 < top < math.inf or k > 1023:  # nan fails the comparison
+        return math.fsum(w.tolist())
+    parts = []
+    r = w.copy()
+    hi = np.empty_like(r)
+    nonzero = n
+    while nonzero > n // 64:
+        sigma = math.ldexp(1.0, k)
+        np.add(r, sigma, out=hi)
+        hi -= sigma
+        parts.append(float(hi.sum()))
+        r -= hi
+        nonzero = np.count_nonzero(r)
+        k += m - 53
+    if nonzero:
+        parts += r[r != 0].tolist()
+    return math.fsum(parts)
 
 
 def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectation:
@@ -174,13 +217,19 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
             )
         raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
     # arithmetic mean over the four symmetric points of each pair of tiles
-    pair_means = 0.25 * (fx[1:] + fx[:-1] + fm[1:] + fm[:-1])
-    # fsum keeps the weighted average exactly rounded, so constants come back
-    # bit-exact after the coverage normalization. It runs over a list of the
-    # same floats: iterating a list is faster than iterating numpy scalars.
-    # The total mass K/N is one product: it rounds the exact value once, as
-    # fsum of K copies of 1/N does
-    numer = math.fsum((pair_means * grid.tile_mass).tolist())
+    with np.errstate(over="ignore"):  # an overflowed sum is redone below
+        pair_sums = fx[1:] + fx[:-1] + fm[1:] + fm[:-1]
+    pair_means = 0.25 * pair_sums
+    lost = np.isinf(pair_sums)
+    if lost.any():
+        # four finite terms have a finite mean: quarter them first, which is
+        # exact at this magnitude
+        corners = (fx[1:], fx[:-1], fm[1:], fm[:-1])
+        pair_means[lost] = sum(0.25 * t[lost] for t in corners)
+    # the exactly rounded sum brings constants back bit-exact after the
+    # coverage normalization. The total mass K/N is one product: it rounds
+    # the exact value once, as fsum of K copies of 1/N does
+    numer = _exact_sum(pair_means * grid.tile_mass)
     denom = grid.n_pairs * grid.tile_mass
     return Expectation(
         value=numer / denom,
@@ -215,7 +264,8 @@ def expectation(
         raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
     # A_K + (1 - A_K) is exactly 1, so the mean over grid and tails is
     # E_grid + (1 - A_K)(E_tail - E_grid); the second term is 0 for constant f
-    tail_mean = 0.5 * float(fx[0] + fx[1])
+    a, b = float(fx[0]), float(fx[1])
+    tail_mean = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
     return Expectation(
         value=inner.value + tail_mass * (tail_mean - inner.value),
         coverage=grid.coverage,

@@ -301,3 +301,15 @@ def test_lost_mirror_names_a_finite_grid_point(capsys):
     assert code == 1
     (row,) = json.loads(out)["results"]
     assert row["error"] == "mirror 2*mu - x_n of grid point x_n=1e+308 is not finite"
+
+
+def test_tile_mean_of_finite_values_is_finite(capsys):
+    # the four corner values of the outer pairs are finite, but their sum
+    # overflows; the mean is finite and so is the estimate
+    code, out = run_cli(
+        capsys, "compute", "--mu", "0", "--sigma", "0.01", "--theta", "679.4",
+        "--methods", "tile", "--format", "json",
+    )
+    assert code == 0
+    (row,) = json.loads(out)["results"]
+    assert 1e303 < row["value"] < 1e304

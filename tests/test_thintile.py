@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -12,15 +12,18 @@ from logmgf import (
     GaussianParams,
     MgfQuery,
     NonFiniteIntegrand,
+    TABLES,
     TileGridConfig,
     build_grid,
     cdf_std,
     expectation,
     expectation_on_grid,
     inverse_cdf_std,
+    mgf_asmussen,
     mgf_thintile,
     pdf,
 )
+from logmgf.thintile import _exact_sum
 
 
 def quad_expectation(f, mu, sigma):
@@ -236,3 +239,141 @@ def test_total_mass_product_equals_fsum(n_pairs):
     # N - 1 copies of 1/N: both round the exact total once
     k = n_pairs - 1
     assert k * (1.0 / n_pairs) == math.fsum([1.0 / n_pairs] * k)
+
+
+def test_vectorised_integrand_error_propagates_after_one_call():
+    # only a TypeError from the array call means "scalar-only callable"; any
+    # other error is the integrand's own and is not retried point by point
+    calls = 0
+
+    def rejects_arrays(x):
+        nonlocal calls
+        calls += 1
+        if np.ndim(x):
+            raise ValueError("shapes do not broadcast")
+        return math.exp(x)
+
+    grid = build_grid(GaussianParams(0.0, 1.0), TileGridConfig())
+    with pytest.raises(ValueError, match="shapes do not broadcast"):
+        expectation_on_grid(rejects_arrays, grid)
+    assert calls == 1
+
+
+def test_overflowing_pair_sum_keeps_the_finite_mean():
+    # near x_K the four corner values of a pair are finite but their sum
+    # overflows. Dividing f by 2^10 scales every rounding of the rule
+    # exactly, so the mended value is 2^10 times the rule on f / 2^10,
+    # where no sum overflows
+    theta = 679.4
+    q = MgfQuery(0.0, 0.01, theta)
+    grid = build_grid(GaussianParams(q.mu, q.sigma), TileGridConfig())
+    scaled = expectation_on_grid(lambda x: np.exp(theta * np.exp(x)) / 1024.0, grid)
+    assert mgf_thintile(q).value == 1024.0 * scaled.value
+    # a constant near the float maximum overflows every pair sum and
+    # expectation's two-point tail sum
+    def constant(c):
+        return lambda x: np.full_like(x, c)
+
+    big, small = constant(1.2e308), constant(1.2e308 / 1024.0)
+    assert (
+        expectation_on_grid(big, grid).value
+        == 1024.0 * expectation_on_grid(small, grid).value
+    )
+    p, cfg = GaussianParams(0.0, 1.0), TileGridConfig()
+    assert expectation(big, p, cfg).value == 1024.0 * expectation(small, p, cfg).value
+
+
+# every mgf_thintile / mgf_asmussen table value as it was computed with
+# math.fsum over the weighted pair means: (thin_tile, laplace_w)
+TABLE_HEX = {
+    (1, 0.1): ("0x1.1b14778bc07c1p+0", "0x1.1b1462d04d406p+0"),
+    (1, 0.3): ("0x1.5a3e08f7b26b0p+0", "0x1.5a3dbe1105f03p+0"),
+    (1, 0.5): ("0x1.a7abdea84c4dfp+0", "0x1.a7ab4874941c2p+0"),
+    (1, 1.0): ("0x1.5f7c3801bf296p+1", "0x1.5f7b4ab877fb6p+1"),
+    (1, 1.2): ("0x1.aeb6622387e07p+1", "0x1.aeb50d2c7c09bp+1"),
+    (2, -0.5): ("0x1.366476a133202p-1", "0x1.366474343640bp-1"),
+    (2, -1.0): ("0x1.78b5921db1a37p-2", "0x1.78b59233024fap-2"),
+    (2, -2.0): ("0x1.163ef461d755ap-3", "0x1.163f059c85535p-3"),
+    (2, -4.0): ("0x1.331a7f0a477e3p-6", "0x1.331af00b196bfp-6"),
+    (2, -8.0): ("0x1.873307dfd74ccp-12", "0x1.8735eca0739bbp-12"),
+    (3, -0.5): ("0x1.1f98381998d27p-1", "0x1.1f9814019c2aep-1"),
+    (3, -1.0): ("0x1.86eacbf1019dfp-2", "0x1.86eaf5b274b9fp-2"),
+    (3, -2.0): ("0x1.bafe4d063d791p-3", "0x1.baff6531e5861p-3"),
+    (3, -4.0): ("0x1.9198c7f51f6fdp-4", "0x1.919c6b875cd8ep-4"),
+    (3, -8.0): ("0x1.18b01d8f9a7ccp-5", "0x1.18b9ae089224bp-5"),
+}
+
+
+def test_table_values_are_bit_identical_to_the_fsum_rule():
+    got = {
+        (table_id, theta): (
+            mgf_thintile(MgfQuery(spec.mu, spec.sigma, theta)).value.hex(),
+            mgf_asmussen(MgfQuery(spec.mu, spec.sigma, theta)).value.hex(),
+        )
+        for table_id, spec in TABLES.items()
+        for theta in spec.thetas
+    }
+    assert got == TABLE_HEX
+
+
+def _sum_outcome(total, w):
+    try:
+        return total(w).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def _fsum_list(w):
+    return math.fsum(w.tolist())
+
+
+_SUMMANDS = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
+    math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_SUMMANDS, max_size=300), cancel=st.booleans())
+@example(values=[], cancel=False)
+@example(values=[-0.0, -0.0], cancel=False)
+@example(values=[0.0, -0.0, 0.0], cancel=False)
+@example(values=[5e-324, -5e-324, 5e-324], cancel=False)
+@example(values=[1.5, 2.0**-60, 2.0**-120], cancel=True)
+@example(values=[1.7e308, 1.7e308, -1.0], cancel=False)  # fsum overflows
+@example(values=[1e308, 2.0**-1074], cancel=False)
+@example(values=[1.0] * 32 + [-1.0] * 32 + [2.0**-200], cancel=False)  # remainder
+def test_exact_sum_equals_fsum(values, cancel):
+    w = np.array(values + [-v for v in reversed(values)] if cancel else values)
+    assert _sum_outcome(_exact_sum, w) == _sum_outcome(_fsum_list, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log2_n=st.floats(0.0, 21.0),
+    e_lo=st.integers(-1074, 1023),
+    span=st.integers(0, 2100),
+    low=st.sampled_from([-1.0, 0.0, 0.5]),
+    cancel=st.sampled_from([0.0, 0.5, 1.0]),
+    zeros=st.booleans(),
+)
+@example(seed=1, log2_n=21.0, e_lo=-40, span=60, low=-1.0, cancel=0.0, zeros=False)
+@example(seed=2, log2_n=21.0, e_lo=-1074, span=2100, low=-1.0, cancel=1.0, zeros=True)
+@example(seed=3, log2_n=21.0, e_lo=-20, span=0, low=0.5, cancel=0.0, zeros=False)
+@example(seed=4, log2_n=16.3, e_lo=-30, span=15, low=0.0, cancel=0.0, zeros=False)
+def test_exact_sum_equals_fsum_on_large_arrays(
+    seed, log2_n, e_lo, span, low, cancel, zeros
+):
+    # exponents from e_lo up to e_lo + span, mantissas in [low, 1) (low >= 0:
+    # one sign, so the pass sums grow as fast as they can), a share of
+    # exactly cancelling pairs and optional zeros, with n up to 2^21
+    rng = np.random.default_rng(seed)
+    n = int(2.0**log2_n)
+    e = rng.integers(e_lo, min(e_lo + span, 1023), endpoint=True, size=n)
+    w = np.ldexp(rng.uniform(low, 1.0, size=n), e)
+    mirrored = rng.random(n) < cancel
+    w = np.concatenate([w, -w[mirrored]])
+    if zeros:
+        w[rng.random(len(w)) < 0.5] = 0.0
+    rng.shuffle(w)
+    assert _sum_outcome(_exact_sum, w) == _sum_outcome(_fsum_list, w)
