@@ -5,19 +5,10 @@ from .errors import (
     DivergenceError,
     DomainError,
     LogMgfError,
-    NegativeRadicand,
     NonFiniteIntegrand,
     PathOverflow,
 )
-from .gaussian import (
-    GaussianParams,
-    RngSeed,
-    cdf_std,
-    inverse_cdf_std,
-    lognormal_mean,
-    lognormal_variance,
-    pdf,
-)
+from .gaussian import GaussianParams, RngSeed, cdf_std, pdf
 from .lambertw import LambertResult, lambert_w0, mgf_asmussen
 from .montecarlo import McConfig, mgf_monte_carlo
 from .tables import TABLES, TableSpec
@@ -36,8 +27,6 @@ from .zeroentropy import (
     OdeState,
     PathEnsemble,
     ZeroEntropyConfig,
-    drift_m,
-    drift_v,
     ensemble_moments,
     integrate,
     integrate_with_info,
@@ -61,7 +50,6 @@ __all__ = [
     "Method",
     "MgfEstimate",
     "MgfQuery",
-    "NegativeRadicand",
     "NonFiniteIntegrand",
     "OdeState",
     "PathEnsemble",
@@ -74,18 +62,13 @@ __all__ = [
     "ZeroEntropyConfig",
     "build_grid",
     "cdf_std",
-    "drift_m",
-    "drift_v",
     "ensemble_moments",
     "expectation",
     "expectation_on_grid",
     "integrate",
     "integrate_with_info",
-    "inverse_cdf_std",
     "iter_states",
     "lambert_w0",
-    "lognormal_mean",
-    "lognormal_variance",
     "mgf_asmussen",
     "mgf_monte_carlo",
     "mgf_thintile",

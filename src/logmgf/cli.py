@@ -26,7 +26,7 @@ from .types import Method, MgfEstimate, MgfQuery
 from .zeroentropy import (
     ZeroEntropyConfig,
     ensemble_moments,
-    integrate_with_info,
+    integrate,
     mgf_zero_entropy,
     simulate_paths,
     trajectory_csv,
@@ -283,7 +283,7 @@ def _cmd_paths(args) -> int:
     cfg = ZeroEntropyConfig(steps=args.steps, variance_kick=True)
     ensemble = simulate_paths(q, args.n, args.steps, RngSeed(args.seed))
     moments = ensemble_moments(ensemble.terminal_values)
-    state, _ = integrate_with_info(q, cfg)
+    state = integrate(q, cfg)
     n = ensemble.n_paths
     se_mean = (moments["variance"] / n) ** 0.5
     se_var = moments["variance"] * (2.0 / (n - 1)) ** 0.5

@@ -22,15 +22,6 @@ class NonFiniteIntegrand(LogMgfError, ArithmeticError):
         self.x = x
 
 
-class NegativeRadicand(LogMgfError, ArithmeticError):
-    """The variance-drift radicand went negative (theta < 0, small t)."""
-
-    def __init__(self, message: str, t: float, radicand: float):
-        super().__init__(message)
-        self.t = t
-        self.radicand = radicand
-
-
 class DivergenceError(LogMgfError, OverflowError):
     """A computation left the float range, with the step or block index.
 

@@ -1,10 +1,10 @@
-"""Gaussian and lognormal primitives used by every other module.
+"""Gaussian primitives and seeded random streams used by every other module.
 
 Everything here runs in 64-bit floats. The standard-normal CDF is evaluated
 through the complementary error function; the quantile uses a rational
 initial approximation polished by a Newton step against that CDF, which
 keeps |cdf(inverse(p)) - p| <= 1e-12 across the whole open unit interval. The
-quantile runs on whole arrays; the scalar form is a one-element call of it.
+quantile runs on whole arrays.
 """
 
 from __future__ import annotations
@@ -220,22 +220,3 @@ def inverse_cdf_std_array(p: np.ndarray) -> np.ndarray:
     z -= (cdf - p) / (_INV_SQRT_TWO_PI * np.exp(-0.5 * z * z))
     return z
 
-
-def inverse_cdf_std(p: float) -> float:
-    """Standard-normal quantile; |cdf_std(z) - p| <= 1e-12.
-
-    A one-element call of inverse_cdf_std_array. Raises DomainError outside
-    the open unit interval.
-    """
-    return float(inverse_cdf_std_array(np.array([p], dtype=np.float64))[0])
-
-
-def lognormal_mean(p: GaussianParams) -> float:
-    """E[e^x] = exp(mu + sigma^2/2) for x ~ N(mu, sigma^2)."""
-    return math.exp(p.mu + 0.5 * p.sigma * p.sigma)
-
-
-def lognormal_variance(p: GaussianParams) -> float:
-    """Var[e^x] = (exp(sigma^2) - 1) * exp(2*mu + sigma^2)."""
-    s2 = p.sigma * p.sigma
-    return math.expm1(s2) * math.exp(2.0 * p.mu + s2)

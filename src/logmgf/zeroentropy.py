@@ -46,7 +46,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NegativeRadicand, PathOverflow
+from .errors import DivergenceError, DomainError, PathOverflow
 from .gaussian import RngSeed
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -93,8 +93,6 @@ class PathEnsemble:
 
     terminal_values: np.ndarray
     n_paths: int
-    steps: int
-    seed: RngSeed
     n_overflowed: int = 0
 
 
@@ -109,11 +107,12 @@ def _moment_drift(m: float, v: float, base: float, pull: float) -> float:
     return base + pull * math.exp(exponent)
 
 
-def _variance_drift(
+def _variance_radicand(
     t: float, m: float, v: float, s2: float, g: float, sign2: float, sigma3: float
 ) -> float:
-    """v' at t > 0 and v >= 0, with s2 = sigma^2, g the adjustment factor,
-    sign2 = 2 * sign(theta) and sigma3 = sigma^3."""
+    """The expression under v's square root at t > 0 and v >= 0, with
+    s2 = sigma^2, g the adjustment factor, sign2 = 2 * sign(theta) and
+    sigma3 = sigma^3."""
     if 2.0 * m + v > _OVERFLOW_GUARD or m + 0.5 * v > _OVERFLOW_GUARD:
         raise OverflowError(
             f"variance drift exponent exceeds guard {_OVERFLOW_GUARD:.3g}"
@@ -128,65 +127,30 @@ def _variance_drift(
         raise OverflowError(
             f"variance radicand {radicand} at t={t:.6g} is not finite"
         )
-    if radicand < 0.0:
-        raise NegativeRadicand(
-            f"variance radicand {radicand:.3g} < 0 at t={t:.6g}", t, radicand
-        )
-    return math.sqrt(radicand)
+    return radicand
 
 
-def _moment_constants(q: MgfQuery) -> tuple[float, float]:
-    """The per-query arguments base, pull of _moment_drift."""
-    s2 = q.sigma * q.sigma
-    return q.mu + 0.5 * s2, q.sign_theta * 0.5 * s2
+def _euler(
+    q: MgfQuery, cfg: ZeroEntropyConfig, info: IntegrationInfo
+) -> Iterator[tuple[float, float, float]]:
+    """Euler trajectory of (m, v) over [0, 1] as (t, m, v) floats.
 
-
-def _variance_constants(q: MgfQuery) -> tuple[float, float, float, float]:
-    """The per-query arguments s2, g, sign2, sigma3 of _variance_drift.
-
+    A negative radicand (possible for theta < 0 at small t with large sigma)
+    clamps that step's v' to zero and is counted in info.clamped_steps.
     sigma^3 beyond the float range is inf, so the radicand is not finite and
-    _variance_drift raises OverflowError inside the step that first needs it.
+    the step that first needs it diverges.
     """
+    if q.theta == 0.0:
+        raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
+    dt = 1.0 / cfg.steps
+    s2 = q.sigma * q.sigma
+    base, pull = q.mu + 0.5 * s2, q.sign_theta * 0.5 * s2
+    g = math.sqrt(1.0 + 0.5 * q.sigma * q.sigma)
+    sign2 = q.sign_theta * 2.0
     try:
         sigma3 = q.sigma**3
     except OverflowError:
         sigma3 = math.inf
-    return (
-        q.sigma * q.sigma,
-        math.sqrt(1.0 + 0.5 * q.sigma * q.sigma),
-        q.sign_theta * 2.0,
-        sigma3,
-    )
-
-
-def drift_m(s: OdeState, q: MgfQuery) -> float:
-    """Time derivative of the first moment m_t; theta must be nonzero."""
-    return _moment_drift(s.m, s.v, *_moment_constants(q))
-
-
-def drift_v(s: OdeState, q: MgfQuery) -> float:
-    """Time derivative of the variance v_t; requires t > 0.
-
-    Raises NegativeRadicand when the expression under the square root goes
-    negative (possible for theta < 0 at small t with large sigma); the
-    integrator clamps such steps to zero and counts them.
-    """
-    if not (s.t > 0.0):
-        raise DomainError(f"variance drift needs t > 0, got t={s.t}")
-    if s.v < 0.0:
-        raise DomainError(f"variance must be nonnegative, got v={s.v}")
-    return _variance_drift(s.t, s.m, s.v, *_variance_constants(q))
-
-
-def _euler(
-    q: MgfQuery, cfg: ZeroEntropyConfig, info: IntegrationInfo | None
-) -> Iterator[tuple[float, float, float]]:
-    """Euler trajectory of (m, v) over [0, 1] as (t, m, v) floats."""
-    if q.theta == 0.0:
-        raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
-    dt = 1.0 / cfg.steps
-    base, pull = _moment_constants(q)
-    s2, g, sign2, sigma3 = _variance_constants(q)
     m = math.log(abs(q.theta))
     v = s2 if q.theta > 0.0 else 0.0
     yield 0.0, m, v
@@ -198,12 +162,12 @@ def _euler(
             elif v == 0.0:
                 dv = 0.0  # exact fixed point; also keeps t = 0 unevaluated
             else:
-                try:
-                    dv = _variance_drift(max(i, 1) * dt, m, v, s2, g, sign2, sigma3)
-                except NegativeRadicand:
+                radicand = _variance_radicand(max(i, 1) * dt, m, v, s2, g, sign2, sigma3)
+                if radicand < 0.0:
                     dv = 0.0
-                    if info is not None:
-                        info.clamped_steps += 1
+                    info.clamped_steps += 1
+                else:
+                    dv = math.sqrt(radicand)
         except OverflowError as exc:
             raise DivergenceError(f"diverged at step {i}: {exc}", i) from exc
         m += dm * dt
@@ -211,15 +175,13 @@ def _euler(
         yield (i + 1) * dt, m, v
 
 
-def iter_states(
-    q: MgfQuery, cfg: ZeroEntropyConfig, info: IntegrationInfo | None = None
-) -> Iterator[OdeState]:
+def iter_states(q: MgfQuery, cfg: ZeroEntropyConfig) -> Iterator[OdeState]:
     """Euler trajectory of (m, v) over [0, 1], yielding every state.
 
     The first yielded state is the initial condition; each subsequent one is
     the state after one step of size 1/steps.
     """
-    for t, m, v in _euler(q, cfg, info):
+    for t, m, v in _euler(q, cfg, IntegrationInfo()):
         yield OdeState(t, m, v)
 
 
@@ -374,13 +336,11 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
                         if sign > 0.0:
                             y[y > _OVERFLOW_GUARD] = np.inf
 
-    if workers == 1:
-        step_blocks(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: `logmgf compute` would pay about 10 ms for it at module level
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(step_blocks, range(workers)))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(step_blocks, range(workers)))
     keep = np.isfinite(terminal) & (terminal <= _OVERFLOW_GUARD)
     n_overflowed = int(n_paths - keep.sum())
     if n_overflowed == n_paths:
@@ -388,8 +348,6 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     return PathEnsemble(
         terminal_values=terminal[keep],
         n_paths=int(keep.sum()),
-        steps=steps,
-        seed=seed,
         n_overflowed=n_overflowed,
     )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import logmgf
 from logmgf import (
     LogMgfError,
     McConfig,
@@ -66,3 +67,11 @@ def test_every_method_gives_exactly_one_at_theta_zero(mu):
     assert {name: run(q).value for name, run in METHODS.items()} == dict.fromkeys(
         METHODS, 1.0
     )
+
+
+def test_every_exported_name_resolves_and_errors_are_typed():
+    namespace = {}
+    exec("from logmgf import *", namespace)  # AttributeError on a stale name
+    assert set(logmgf.__all__) <= namespace.keys()
+    errors = [v for v in namespace.values() if isinstance(v, type) and issubclass(v, Exception)]
+    assert errors and all(issubclass(e, LogMgfError) for e in errors)

@@ -11,13 +11,10 @@ from logmgf import (
     DivergenceError,
     DomainError,
     MgfQuery,
-    NegativeRadicand,
     OdeState,
     PathOverflow,
     RngSeed,
     ZeroEntropyConfig,
-    drift_m,
-    drift_v,
     ensemble_moments,
     integrate,
     integrate_with_info,
@@ -37,51 +34,62 @@ def test_config_validation():
         ZeroEntropyConfig(steps=5)
 
 
+def _moment_drift(s, q):
+    """ze._moment_drift at state s with the constants _euler passes for q."""
+    s2 = q.sigma * q.sigma
+    return ze._moment_drift(s.m, s.v, q.mu + 0.5 * s2, q.sign_theta * 0.5 * s2)
+
+
+def _variance_radicand(s, q):
+    """ze._variance_radicand at state s with the constants _euler passes for q."""
+    return ze._variance_radicand(
+        s.t,
+        s.m,
+        s.v,
+        q.sigma * q.sigma,
+        math.sqrt(1.0 + 0.5 * q.sigma * q.sigma),
+        q.sign_theta * 2.0,
+        q.sigma**3,
+    )
+
+
 def test_drift_m_direct_substitution():
     # every term cancels at the fixed point of the theta=-1 start
-    assert drift_m(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, -1.0)) == 0.0
-    assert drift_m(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, 0.5)) == pytest.approx(
-        0.01, rel=1e-15
-    )
+    assert _moment_drift(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, -1.0)) == 0.0
+    got = _moment_drift(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, 0.5))
+    assert got == pytest.approx(0.01, rel=1e-15)
 
 
 def test_drift_m_frozen_oracle():
     # mpmath 40-digit evaluation of the drift at (m=-1, v=0.04, sigma=0.0625)
-    got = drift_m(OdeState(0.2, -1.0, 0.04), MgfQuery(0.0, 0.0625, -2.0))
+    got = _moment_drift(OdeState(0.2, -1.0, 0.04), MgfQuery(0.0, 0.0625, -2.0))
     assert got == pytest.approx(0.0012200955100558603, rel=1e-14)
 
 
 def test_drift_m_overflow_guard():
     with pytest.raises(OverflowError):
-        drift_m(OdeState(0.5, 800.0, 0.0), MgfQuery(0.0, 1.0, 2.0))
+        _moment_drift(OdeState(0.5, 800.0, 0.0), MgfQuery(0.0, 1.0, 2.0))
 
 
 def test_drift_v_small_time_limit():
     # with v = sigma^2 * t the radicand tends to sigma^4
     q = MgfQuery(0.0, 0.3, -1.0)
     t = 1e-10
-    got = drift_v(OdeState(t, 0.0, 0.09 * t), q)
+    got = math.sqrt(_variance_radicand(OdeState(t, 0.0, 0.09 * t), q))
     assert got == pytest.approx(0.09, rel=1e-4)
 
 
 def test_drift_v_zero_variance_is_fixed_point():
     for theta in (-2.0, 0.7):
-        got = drift_v(OdeState(1.0, 0.3, 0.0), MgfQuery(0.0, 0.5, theta))
+        got = _variance_radicand(OdeState(1.0, 0.3, 0.0), MgfQuery(0.0, 0.5, theta))
         assert got == 0.0
 
 
 def test_drift_v_frozen_oracle():
     # mpmath 40-digit evaluation at (t=0.5, m=0, v=0.005, sigma=0.1, theta=-1)
-    got = drift_v(OdeState(0.5, 0.0, 0.005), MgfQuery(0.0, 0.1, -1.0))
+    radicand = _variance_radicand(OdeState(0.5, 0.0, 0.005), MgfQuery(0.0, 0.1, -1.0))
+    got = math.sqrt(radicand)
     assert got == pytest.approx(0.009949750004739704, rel=1e-13)
-
-
-def test_drift_v_rejects_bad_states():
-    q = MgfQuery(0.0, 0.1, -1.0)
-    with pytest.raises(DomainError):
-        drift_v(OdeState(0.0, 0.0, 0.01), q)
-    with pytest.raises(DomainError):
-        drift_v(OdeState(0.5, 0.0, -0.01), q)
 
 
 @settings(max_examples=300)
@@ -95,25 +103,22 @@ def test_drift_v_rejects_bad_states():
 def test_drift_v_radicand_never_negative(t, m, v, sigma, theta):
     # the radicand is (a-b)^2 + b^2*((e^v-1)/v - 1) >= 0, so clamping can only
     # ever fire on floating-point noise at the tangency
-    q = MgfQuery(0.0, sigma, theta)
     try:
-        got = drift_v(OdeState(t, m, v), q)
+        radicand = _variance_radicand(OdeState(t, m, v), MgfQuery(0.0, sigma, theta))
     except OverflowError:
         return
-    except NegativeRadicand as exc:
-        assert abs(exc.radicand) < 1e-12, "radicand materially negative"
-        return
-    assert got >= 0.0
+    if radicand < 0.0:
+        assert abs(radicand) < 1e-12, "radicand materially negative"
 
 
 def test_integrator_clamps_and_counts(monkeypatch):
     calls = {"n": 0}
 
-    def explode(t, m, v, *constants):
+    def negative(t, m, v, *constants):
         calls["n"] += 1
-        raise NegativeRadicand("forced", t, -1.0)
+        return -1.0
 
-    monkeypatch.setattr(ze, "_variance_drift", explode)
+    monkeypatch.setattr(ze, "_variance_radicand", negative)
     q = MgfQuery(0.0, 0.1, 1.0)  # positive theta so v_0 > 0 engages v'
     state, info = integrate_with_info(q, ZeroEntropyConfig(steps=100))
     assert calls["n"] == 100
@@ -272,9 +277,7 @@ def _reference_drift_v(s, q):
     )
     if not math.isfinite(radicand):
         raise OverflowError("variance radicand")
-    if radicand < 0.0:
-        raise NegativeRadicand("negative", s.t, radicand)
-    return math.sqrt(radicand)
+    return None if radicand < 0.0 else math.sqrt(radicand)
 
 
 def _reference_states(q, cfg, clamps):
@@ -292,9 +295,8 @@ def _reference_states(q, cfg, clamps):
             elif v == 0.0:
                 dv = 0.0
             else:
-                try:
-                    dv = _reference_drift_v(OdeState(max(i, 1) * dt, m, v), q)
-                except NegativeRadicand:
+                dv = _reference_drift_v(OdeState(max(i, 1) * dt, m, v), q)
+                if dv is None:  # negative radicand
                     dv = 0.0
                     clamps.append(i)
         except OverflowError as exc:
@@ -322,7 +324,9 @@ def _assert_euler_bit_identical(q, cfg):
     clamps = []
     expected = _euler_run(_reference_states(q, cfg, clamps), lambda: len(clamps))
     info = ze.IntegrationInfo()
-    got = _euler_run(iter_states(q, cfg, info), lambda: info.clamped_steps)
+    got = _euler_run(
+        (OdeState(*state) for state in ze._euler(q, cfg, info)), lambda: info.clamped_steps
+    )
     assert got == expected
     # the two public consumers of the same loop
     buf = io.StringIO()
