@@ -116,7 +116,7 @@ def _run_one(method: Method, q: MgfQuery, args) -> MgfEstimate:
     if method is Method.THIN_TILE:
         return mgf_thintile(q, TileGridConfig(n_pairs=args.n_pairs))
     if method is Method.LAPLACE_W:
-        return mgf_asmussen(q, TileGridConfig(n_pairs=args.n_pairs))
+        return mgf_asmussen(q)
     return mgf_monte_carlo(
         q, McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed))
     )
@@ -336,7 +336,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                         "at theta > 0 and --dump-trajectory; theta < 0 is solved "
                         "exactly)")
     p.add_argument("--n-pairs", type=int, default=80_000,
-                   help="tile pairs for the grid integrator")
+                   help="tile pairs for the thin_tile grid")
     p.add_argument("--mc-samples", type=int, default=1_000_000,
                    help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

@@ -282,7 +282,10 @@ def mgf_thintile(q: MgfQuery, cfg: TileGridConfig | None = None) -> MgfEstimate:
     1.4e-5 and table 3 by up to 5.0e-6. For theta > 0 the underlying integral
     diverges; an overflowing evaluation raises NonFiniteIntegrand carrying
     the offending abscissa. theta = 0 returns 1 exactly without evaluating,
-    since exp(x) can overflow there and 0 * inf is nan.
+    since exp(x) can overflow there and 0 * inf is nan. The truncated rule
+    misses mass that lies beyond the grid without saying so: at (mu, sigma,
+    theta) = (0, 1, -1e4) exp(theta * e^x) peaks near x = -9, past the last
+    pair, and the rule gives 3.0e-61 where M = 1.11538e-15.
     """
     cfg = cfg or TileGridConfig()
     grid = build_grid(GaussianParams(q.mu, q.sigma), cfg)

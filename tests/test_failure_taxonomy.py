@@ -24,7 +24,7 @@ from logmgf import (
 METHODS = {
     "zero_entropy": lambda q: mgf_zero_entropy(q, ZeroEntropyConfig(steps=200)),
     "thin_tile": lambda q: mgf_thintile(q, TileGridConfig(n_pairs=2_000)),
-    "laplace_w": lambda q: mgf_asmussen(q, TileGridConfig(n_pairs=2_000)),
+    "laplace_w": mgf_asmussen,
     "monte_carlo": lambda q: mgf_monte_carlo(
         q, McConfig(n_samples=1_000, seed=RngSeed(0))
     ),

@@ -1,12 +1,24 @@
 import math
+import subprocess
+import sys
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
-from logmgf import DomainError, MgfQuery, lambert_w0, mgf_asmussen, mgf_thintile
+from logmgf import (
+    TABLES,
+    DomainError,
+    LogMgfError,
+    MgfQuery,
+    lambert_w0,
+    mgf_asmussen,
+    mgf_thintile,
+)
 
 
 def test_trivial_points():
@@ -93,8 +105,12 @@ def test_mgf_diagnostics():
     assert est.diagnostics["lambert_w"] == pytest.approx(0.5671432904097838, rel=1e-10)
     assert est.diagnostics["lambert_residual"] <= 1e-12
     assert est.diagnostics["tail_factor"] < 1.0  # ~1.2% shave at sigma = 1
+    assert est.diagnostics["tail_nodes"] == 128.0
+    assert 0.0 < est.diagnostics["tail_budget"] <= 1e-13
     pos = mgf_asmussen(MgfQuery(0.0, 0.1, 0.5))
     assert pos.diagnostics["tail_factor"] == 1.0  # no convergent remainder
+    assert pos.diagnostics["tail_nodes"] == 0.0
+    assert pos.diagnostics["tail_budget"] == 0.0
 
 
 def test_agreement_with_tile_integration():
@@ -103,3 +119,87 @@ def test_agreement_with_tile_integration():
         a = mgf_asmussen(q).value
         t = mgf_thintile(q).value
         assert abs(a - t) <= 2e-6
+
+
+# Finite breakpoints in standard-normal units: mpmath's tanh-sinh rule on
+# infinite limits is slow here, and every integrand below is negligible
+# beyond |x| = 60.
+_BREAKS = [-60, -30, -15, -8, -4, 0, 4, 8, 15, 30, 60]
+
+
+def _mp_mgf(q: MgfQuery):
+    """E[exp(theta * e^(mu + sigma * Z))] by 30-digit quadrature."""
+    with mp.workdps(30):
+        def f(z):
+            return mp.exp(q.theta * mp.exp(q.mu + q.sigma * z) - z * z / 2)
+
+        return mp.quad(f, _BREAKS) / mp.sqrt(2 * mp.pi)
+
+
+def _mp_residual(c: float, spread: float):
+    """E[exp(-c * (e^Y - 1 - Y - Y^2/2))], Y = spread * Z, by 20-digit quadrature."""
+    with mp.workdps(20):
+        def f(x):
+            y = spread * x
+            return mp.exp(-x * x / 2 - c * (mp.expm1(y) - y - y * y / 2))
+
+        return mp.quad(f, _BREAKS) / mp.sqrt(2 * mp.pi)
+
+
+_NEGATIVE_CELLS = [
+    MgfQuery(spec.mu, spec.sigma, theta)
+    for spec in TABLES.values()
+    for theta in spec.thetas
+    if theta < 0.0
+]
+
+
+@pytest.mark.parametrize("q", _NEGATIVE_CELLS, ids=lambda q: f"sigma={q.sigma}-theta={q.theta}")
+def test_negative_table_cells_match_mpmath(q):
+    ref = _mp_mgf(q)
+    assert abs(mgf_asmussen(q).value - ref) <= 1e-13 * ref
+
+
+def test_far_negative_theta_matches_mpmath():
+    # exp(-1e4 e^x) keeps its mass near x = -9, beyond the tile grid's reach
+    q = MgfQuery(0.0, 1.0, -1e4)
+    ref = _mp_mgf(q)
+    assert float(ref) == pytest.approx(1.11538e-15, rel=1e-5)
+    assert abs(mgf_asmussen(q).value - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.floats(-2.0, 2.0),
+    log_sigma=st.floats(math.log(1e-3), math.log(20.0)),
+    log_neg_theta=st.floats(math.log(1e-3), math.log(1e4)),
+)
+def test_tail_budget_covers_the_quadrature_error(mu, log_sigma, log_neg_theta):
+    sigma = math.exp(log_sigma)
+    d = mgf_asmussen(MgfQuery(mu, sigma, -math.exp(log_neg_theta))).diagnostics
+    w, s2 = d["lambert_w"], sigma * sigma
+    ref = _mp_residual(w / s2, math.sqrt(s2 / (1.0 + w)))
+    assert abs(d["tail_factor"] - ref) <= d["tail_budget"]
+
+
+def test_wide_sigma_is_finite_or_typed_without_warnings():
+    # expm1 overflows at the outer nodes from sigma of about 35
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the Lambert argument underflows to 0 at mu = -800: W = 0, and the
+        # factor is exactly 1, with no 0 * inf at the overflowing nodes
+        assert mgf_asmussen(MgfQuery(-800.0, 50.0, -1.0)).value == 1.0
+        try:
+            value = mgf_asmussen(MgfQuery(0.0, 100.0, -1.0)).value
+        except LogMgfError:
+            return
+    assert math.isfinite(value)
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    code = "import sys, logmgf.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
