@@ -73,13 +73,15 @@ def lambert_w0(x: float) -> LambertResult:
     if x == 0.0:
         return LambertResult(0.0, 0, 0.0)
     tol = _RESIDUAL_TOL * max(1.0, abs(x))
-    floor = 4e-16 * max(1.0, abs(x))
+    floor = 4e-16 * abs(x)
     w = _initial_guess(x)
     best_w = w
     best_res = abs(w * math.exp(w) - x)
     iterations = 0
     # iterate past the contract down to the evaluation floor so the closed
-    # form is never the accuracy bottleneck in cross-method comparisons
+    # form is never the accuracy bottleneck in cross-method comparisons; the
+    # floor is relative to |x|, so W stays accurate relative to itself at
+    # small |x|, where W ~ x
     while best_res > floor and iterations < _MAX_ITER:
         iterations += 1
         ew = math.exp(w)

@@ -37,6 +37,8 @@ from .errors import DomainError, NonFiniteIntegrand
 from .gaussian import GaussianParams, inverse_cdf_std_array, pdf
 from .types import Method, MgfEstimate, MgfQuery
 
+_PIECE = 1 << 13  # pairs per piece of expectation_on_grid: 64 KiB temporaries
+
 
 @dataclass(frozen=True)
 class TileGridConfig:
@@ -149,27 +151,28 @@ def _first_bad(values: np.ndarray, xs: np.ndarray) -> float:
     return float(xs[idx])
 
 
-def _exact_sum(w: np.ndarray) -> float:
-    """Return math.fsum(w.tolist()), doing most of the work in numpy passes.
+def _exact_parts(w: np.ndarray) -> list[float]:
+    """Return floats whose math.fsum is math.fsum(w.tolist()), mostly from numpy.
 
-    A correctly rounded sum is unique, so any exact summation returns fsum's
-    float. Each pass splits the remainder r without error (Rump, Ogita &
-    Oishi, SIAM J. Sci. Comput. 31(1), 2008): with sigma = 2^k,
+    A correctly rounded sum is unique, so any exact decomposition of the sum
+    gives fsum's float, and so does the concatenation of the parts of several
+    arrays for their joint sum. Each pass splits the remainder r without error
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008): with sigma = 2^k,
     hi = (sigma + r) - sigma and r - hi are exact. Choosing 2^m > 2n and
     |r| <= 2^(k-m) makes every hi a multiple of 2^(k-53) with
     |hi| <= 2^(k-m), so every partial sum of the his is exact and numpy may
     add them in any order. The new remainder is at most 2^(k-53), which sets
-    the next k. Passes stop once at most n/64 remainders are nonzero, and
-    fsum adds the pass sums to them. A non-finite or all-zero w, or one whose
-    2^k would overflow, goes to fsum whole: that keeps fsum's inf, nan,
-    OverflowError and signed zero.
+    the next k. Passes stop once at most n/64 remainders are nonzero, and the
+    parts are the pass sums and those remainders. A non-finite or all-zero w,
+    or one whose 2^k would overflow, is its own parts, w.tolist(): that keeps
+    fsum's inf, nan, OverflowError and signed zero.
     """
     n = len(w)
     top = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
     m = (2 * n).bit_length()
     k = math.frexp(top)[1] + m
     if not 0.0 < top < math.inf or k > 1023:  # nan fails the comparison
-        return math.fsum(w.tolist())
+        return w.tolist()
     parts = []
     r = w.copy()
     hi = np.empty_like(r)
@@ -184,25 +187,13 @@ def _exact_sum(w: np.ndarray) -> float:
         k += m - 53
     if nonzero:
         parts += r[r != 0].tolist()
-    return math.fsum(parts)
+    return parts
 
 
-def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectation:
-    """E[f(x)] over an existing grid by the paper's truncated rule.
-
-    The average runs over the covered mass A_K = coverage < 1 and is
-    normalized by it; the two tails beyond x_K are left out. That truncation
-    is a bias of the order of the f-moment of the uncovered mass (2.5e-4
-    relative for f(x) = x^2, 3.6e-5 for the bounded exp(-e^x) at
-    N(1, 0.25), both at the default 80,000 pairs). mgf_thintile uses this
-    rule because the published thin_tile column is that rule. Safe to share
-    the grid across concurrent calls.
-    """
-    xs = grid.coordinates
-    with np.errstate(over="ignore", invalid="ignore"):  # nan, inf: caught below
-        mirrored = 2.0 * grid.mu - xs
-    fx = _evaluate(f, xs)
-    fm = _evaluate(f, mirrored)
+def _raise_non_finite(
+    fx: np.ndarray, fm: np.ndarray, xs: np.ndarray, mirrored: np.ndarray
+) -> None:
+    """Raise NonFiniteIntegrand at the first bad f(x_n), else the first bad mirror."""
     if not np.isfinite(fx).all():
         x_bad = _first_bad(fx, xs)
         raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
@@ -216,25 +207,65 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
                 f"mirror 2*mu - x_n of grid point x_n={x_bad!r} is not finite", x_bad
             )
         raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
-    # arithmetic mean over the four symmetric points of each pair of tiles
-    with np.errstate(over="ignore"):  # an overflowed sum is redone below
-        pair_sums = fx[1:] + fx[:-1] + fm[1:] + fm[:-1]
-    pair_means = 0.25 * pair_sums
-    lost = np.isinf(pair_sums)
-    if lost.any():
-        # four finite terms have a finite mean: quarter them first, which is
-        # exact at this magnitude
-        corners = (fx[1:], fx[:-1], fm[1:], fm[:-1])
-        pair_means[lost] = sum(0.25 * t[lost] for t in corners)
+
+
+def _mirror(mu: float, xs: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # nan, inf: caught later
+        return 2.0 * mu - xs
+
+
+def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectation:
+    """E[f(x)] over an existing grid by the paper's truncated rule.
+
+    The average runs over the covered mass A_K = coverage < 1 and is
+    normalized by it; the two tails beyond x_K are left out. That truncation
+    is a bias of the order of the f-moment of the uncovered mass (2.5e-4
+    relative for f(x) = x^2, 3.6e-5 for the bounded exp(-e^x) at
+    N(1, 0.25), both at the default 80,000 pairs). mgf_thintile uses this
+    rule because the published thin_tile column is that rule. Safe to share
+    the grid across concurrent calls.
+
+    The grid is walked in pieces of _PIECE pairs, so every temporary stays
+    near 64 KiB, in cache and below the allocator's mmap threshold. Adjacent
+    pieces share one coordinate, which is evaluated in both; n_evals counts
+    each grid point and its mirror once. The exact parts of all pieces are
+    rounded by one fsum, so the value does not depend on the piece size. A
+    non-finite value anywhere names the first bad f(x_n) over the whole grid
+    before any bad mirror.
+    """
+    xs_all = grid.coordinates
+    parts = []
+    for start in range(0, grid.n_pairs, _PIECE):
+        xs = xs_all[start : start + _PIECE + 1]
+        mirrored = _mirror(grid.mu, xs)
+        fx = _evaluate(f, xs)
+        fm = _evaluate(f, mirrored)
+        if not (np.isfinite(fx).all() and np.isfinite(fm).all()):
+            # the first bad f(x_n) of the whole grid is named before any bad
+            # mirror, even one in an earlier piece
+            whole = _mirror(grid.mu, xs_all)
+            _raise_non_finite(_evaluate(f, xs_all), _evaluate(f, whole), xs_all, whole)
+            _raise_non_finite(fx, fm, xs, mirrored)  # f changed its values
+        # arithmetic mean over the four symmetric points of each pair of tiles
+        with np.errstate(over="ignore"):  # an overflowed sum is redone below
+            pair_sums = fx[1:] + fx[:-1] + fm[1:] + fm[:-1]
+        pair_means = 0.25 * pair_sums
+        lost = np.isinf(pair_sums)
+        if lost.any():
+            # four finite terms have a finite mean: quarter them first, which
+            # is exact at this magnitude
+            corners = (fx[1:], fx[:-1], fm[1:], fm[:-1])
+            pair_means[lost] = sum(0.25 * t[lost] for t in corners)
+        parts += _exact_parts(pair_means * grid.tile_mass)
     # the exactly rounded sum brings constants back bit-exact after the
     # coverage normalization. The total mass K/N is one product: it rounds
     # the exact value once, as fsum of K copies of 1/N does
-    numer = _exact_sum(pair_means * grid.tile_mass)
+    numer = math.fsum(parts)
     denom = grid.n_pairs * grid.tile_mass
     return Expectation(
         value=numer / denom,
         coverage=grid.coverage,
-        n_evals=2 * len(xs),
+        n_evals=2 * len(xs_all),
     )
 
 

@@ -69,6 +69,16 @@ def test_against_scipy_oracle():
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_small_arguments_match_mpmath_relatively(sign):
+    # the residual floor scales with |x|, so W keeps its relative accuracy
+    # however small x is (a floor of 4e-16 left 1e-8 at |x| = 1e-8)
+    with mp.workdps(40):
+        for x in sign * np.logspace(-300.0, -0.5, 200):
+            ref = mp.lambertw(mp.mpf(float(x)))
+            assert abs(lambert_w0(float(x)).w - ref) <= 1e-15 * abs(ref)
+
+
 @settings(max_examples=300)
 @given(x=st.floats(-0.36, 1e6))
 def test_identity_property(x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,34 @@ def test_cached_in_place_blocks_equal_the_reference(monkeypatch, q, n_blocks):
         q, n, 11, block
     )
     assert est.diagnostics["n_batches"] == float(n_blocks)
+
+
+@pytest.mark.parametrize("block", [mc._PIECE // 4 + 3, 3 * mc._PIECE // 2 + 5])
+def test_pieces_stay_within_two_ulp_of_whole_blocks(monkeypatch, block):
+    # a block shorter than a piece is one piece; a longer one that is not a
+    # multiple of it ends in a partial piece. The reference shifts by the
+    # first block's mean and sums each block whole
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    q = MgfQuery(0.3, 0.7, -5.5)
+    n = 3 * block - 1_000
+    cfg = McConfig(n_samples=n, seed=RngSeed(21))
+    a, b = mgf_monte_carlo(q, cfg), mgf_monte_carlo(q, cfg)
+    assert (a.value, a.diagnostics) == (b.value, b.diagnostics)
+    value, std_error = reference_monte_carlo(q, n, 21, block)
+    assert abs(a.value - value) <= 2.0 * math.ulp(value)
+    assert abs(a.diagnostics["std_error"] - std_error) <= 2.0 * math.ulp(std_error)
+
+
+def test_a_warm_call_allocates_no_block_sized_buffer():
+    q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=1_000_000)
+    mgf_monte_carlo(q, cfg)  # draws and caches the block's 8 MiB of normals
+    tracemalloc.start()
+    try:
+        mgf_monte_carlo(q, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cold_cache_equals_warm_and_holds_one_read_only_block():
