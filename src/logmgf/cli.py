@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -110,26 +111,43 @@ def _parse_methods(spec: str) -> list[Method]:
     return [m for m in _METHOD_ORDER if m in out]
 
 
-def _run_one(method: Method, q: MgfQuery, args) -> MgfEstimate:
+def _configs(methods: list[Method], args) -> dict[Method, object]:
+    """Each selected method's config, built before any method runs.
+
+    A bad engine flag (e.g. --steps 5) then raises its DomainError as bad
+    input, exit 2, rather than as one error row per point.
+    """
+    configs = {}
+    for method in methods:
+        if method is Method.ZERO_ENTROPY:
+            configs[method] = ZeroEntropyConfig(steps=args.steps)
+        elif method is Method.THIN_TILE:
+            configs[method] = TileGridConfig(n_pairs=args.n_pairs)
+        elif method is Method.MONTE_CARLO:
+            configs[method] = McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed))
+        else:
+            configs[method] = None
+    return configs
+
+
+def _run_one(method: Method, q: MgfQuery, cfg) -> MgfEstimate:
     if method is Method.ZERO_ENTROPY:
-        return mgf_zero_entropy(q, ZeroEntropyConfig(steps=args.steps))
+        return mgf_zero_entropy(q, cfg)
     if method is Method.THIN_TILE:
-        return mgf_thintile(q, TileGridConfig(n_pairs=args.n_pairs))
+        return mgf_thintile(q, cfg)
     if method is Method.LAPLACE_W:
         return mgf_asmussen(q)
-    return mgf_monte_carlo(
-        q, McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed))
-    )
+    return mgf_monte_carlo(q, cfg)
 
 
-def _run_report(q: MgfQuery, methods: list[Method], args, table_id: int | None = None) -> RunReport:
+def _run_report(q: MgfQuery, configs: dict[Method, object], table_id: int | None = None) -> RunReport:
     results = []
     timings = {}
-    for method in methods:
+    for method, cfg in configs.items():
         t0 = time.perf_counter()
         record = MethodResult(method=method)
         try:
-            est = _run_one(method, q, args)
+            est = _run_one(method, q, cfg)
             record.value = est.value
             record.diagnostics = est.diagnostics
         except LogMgfError as exc:
@@ -244,8 +262,7 @@ def _print_table_text(reports: list[RunReport], table_id: int, out) -> None:
 def _cmd_compute(args) -> int:
     q = MgfQuery(mu=args.mu, sigma=args.sigma, theta=args.theta)
     RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
-    methods = args.methods
-    report = _run_report(q, methods, args)
+    report = _run_report(q, _configs(args.methods, args))
     if args.dump_grid:
         grid = build_grid(
             GaussianParams(q.mu, q.sigma), TileGridConfig(n_pairs=args.n_pairs)
@@ -263,12 +280,12 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
+    configs = _configs(list(_METHOD_ORDER), args)
     spec = TABLES[args.id]
     reports = []
     for theta in spec.thetas:
         q = MgfQuery(mu=spec.mu, sigma=spec.sigma, theta=theta)
-        reports.append(_run_report(q, list(_METHOD_ORDER), args, table_id=args.id))
+        reports.append(_run_report(q, configs, table_id=args.id))
     _emit(reports, args.format, table_id=args.id)
     bad = any(r.error for rep in reports for r in rep.results)
     return 1 if bad else 0
@@ -380,14 +397,24 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     A DomainError (bad input) exits 2 and any other LogMgfError exits 1, each
-    with one line on stderr instead of a traceback.
+    with one line on stderr instead of a traceback. A reader that closes the
+    output early, as `| head` does, ends the run quietly with exit 1.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except LogMgfError as exc:
         print(f"logmgf: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1
+    except BrokenPipeError:
+        # stdout still holds unwritten output: point it at devnull so the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -104,10 +105,15 @@ def test_usage_error_exit_code(capsys):
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--seed",
          str(2**64), "--methods", "zero"],
         ["table", "--id", "1", "--seed", "-1"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--steps", "5"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--n-pairs", "1"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--mc-samples", "10"],
+        ["table", "--id", "2", "--mc-samples", "10"],
     ],
     ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0",
          "paths-sigma-underflow", "compute-seed-negative", "compute-seed-65-bits",
-         "table-seed-negative"],
+         "table-seed-negative", "compute-steps-5", "compute-n-pairs-1",
+         "compute-mc-samples-10", "table-mc-samples-10"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -222,6 +228,23 @@ def test_entry_point_exit_codes():
         capture_output=True, text=True,
     )
     assert usage.returncode == 2
+
+
+def test_a_closed_pipe_ends_quietly():
+    # the reader closes its end before the child has written anything
+    read, write = os.pipe()
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "logmgf.cli", "table", "--id", "2",
+             "--format", "csv", "--mc-samples", "10000"],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+        os.close(read)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 # adversarial floats next to ordinary ones; "--flag=value" keeps "-inf" a value
