@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
+import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import DomainError, LogMgfError
 from .gaussian import GaussianParams, RngSeed
@@ -23,7 +23,7 @@ from .lambertw import mgf_asmussen
 from .montecarlo import McConfig, mgf_monte_carlo
 from .tables import TABLES
 from .thintile import TileGridConfig, build_grid, mgf_thintile
-from .types import Method, MgfEstimate, MgfQuery
+from .types import Method, MgfQuery
 from .zeroentropy import (
     ZeroEntropyConfig,
     ensemble_moments,
@@ -54,47 +54,6 @@ _ALIASES = {
 }
 
 
-@dataclass
-class MethodResult:
-    method: Method
-    value: float | None = None
-    error: str | None = None
-    diagnostics: dict[str, float] = field(default_factory=dict)
-    paper_value: float | None = None
-
-    def as_dict(self) -> dict:
-        out: dict = {"method": self.method.value}
-        if self.error is None:
-            out["value"] = self.value
-        else:
-            out["error"] = self.error
-        if self.diagnostics:
-            out["diagnostics"] = self.diagnostics
-        if self.paper_value is not None:
-            out["paper_value"] = self.paper_value
-        return out
-
-
-@dataclass
-class RunReport:
-    query: MgfQuery
-    results: list[MethodResult]
-    deltas: list[dict]
-    timings: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "query": {
-                "mu": self.query.mu,
-                "sigma": self.query.sigma,
-                "theta": self.query.theta,
-            },
-            "results": [r.as_dict() for r in self.results],
-            "deltas": self.deltas,
-            "timings": self.timings,
-        }
-
-
 def _parse_methods(spec: str) -> list[Method]:
     if spec.strip().lower() == "all":
         return list(_METHOD_ORDER)
@@ -111,158 +70,143 @@ def _parse_methods(spec: str) -> list[Method]:
     return [m for m in _METHOD_ORDER if m in out]
 
 
-def _configs(methods: list[Method], args) -> dict[Method, object]:
-    """Each selected method's config, built before any method runs.
+def _runners(methods: list[Method], args) -> dict:
+    """Method -> callable(q) for each selected method, in the given order.
 
-    A bad engine flag (e.g. --steps 5) then raises its DomainError as bad
-    input, exit 2, rather than as one error row per point.
+    Every config is built here, before any method runs, so a bad engine flag
+    (e.g. --steps 5) raises its DomainError as bad input, exit 2, rather than
+    as one error row per point. The mgf_* functions are looked up each time
+    this runs, not at import, so names rebound in this module are the ones run.
     """
-    configs = {}
+    runners = {}
     for method in methods:
         if method is Method.ZERO_ENTROPY:
-            configs[method] = ZeroEntropyConfig(steps=args.steps)
+            run = functools.partial(mgf_zero_entropy, cfg=ZeroEntropyConfig(steps=args.steps))
         elif method is Method.THIN_TILE:
-            configs[method] = TileGridConfig(n_pairs=args.n_pairs)
+            run = functools.partial(mgf_thintile, cfg=TileGridConfig(n_pairs=args.n_pairs))
         elif method is Method.MONTE_CARLO:
-            configs[method] = McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed))
+            cfg = McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed))
+            run = functools.partial(mgf_monte_carlo, cfg=cfg)
         else:
-            configs[method] = None
-    return configs
+            run = mgf_asmussen
+        runners[method] = run
+    return runners
 
 
-def _run_one(method: Method, q: MgfQuery, cfg) -> MgfEstimate:
-    if method is Method.ZERO_ENTROPY:
-        return mgf_zero_entropy(q, cfg)
-    if method is Method.THIN_TILE:
-        return mgf_thintile(q, cfg)
-    if method is Method.LAPLACE_W:
-        return mgf_asmussen(q)
-    return mgf_monte_carlo(q, cfg)
+def _run_report(q: MgfQuery, runners: dict, table_id: int | None = None) -> dict:
+    """One point's JSON document {query, results[], deltas[], timings}.
 
-
-def _run_report(q: MgfQuery, configs: dict[Method, object], table_id: int | None = None) -> RunReport:
-    results = []
-    timings = {}
-    for method, cfg in configs.items():
+    Each result holds method, then value or error, then diagnostics if there
+    are any, then paper_value in table runs.
+    """
+    results, timings = [], {}
+    for method, run in runners.items():
         t0 = time.perf_counter()
-        record = MethodResult(method=method)
+        row = {"method": method.value}
         try:
-            est = _run_one(method, q, cfg)
-            record.value = est.value
-            record.diagnostics = est.diagnostics
+            est = run(q)
+            row["value"] = est.value
+            if est.diagnostics:
+                row["diagnostics"] = est.diagnostics
         except LogMgfError as exc:
-            record.error = str(exc)
+            row["error"] = str(exc)
         timings[method.value] = (time.perf_counter() - t0) * 1e3
         if table_id is not None:
-            record.paper_value = TABLES[table_id].paper_value(method, q.theta)
-        results.append(record)
+            row["paper_value"] = TABLES[table_id].paper_value(method, q.theta)
+        results.append(row)
     deltas = []
-    ok = [r for r in results if r.error is None]
-    for i, a in enumerate(ok):
-        for b in ok[i + 1:]:
-            d = abs(a.value - b.value)
-            scale = max(abs(a.value), abs(b.value))
-            deltas.append(
-                {
-                    "a": a.method.value,
-                    "b": b.method.value,
-                    "abs": d,
-                    "rel": d / scale if scale > 0 else 0.0,
-                }
-            )
-    return RunReport(query=q, results=results, deltas=deltas, timings=timings)
+    for a, b in itertools.combinations([r for r in results if "value" in r], 2):
+        d = abs(a["value"] - b["value"])
+        scale = max(abs(a["value"]), abs(b["value"]))
+        deltas.append(
+            {"a": a["method"], "b": b["method"], "abs": d, "rel": d / scale if scale > 0 else 0.0}
+        )
+    return {
+        "query": {"mu": q.mu, "sigma": q.sigma, "theta": q.theta},
+        "results": results,
+        "deltas": deltas,
+        "timings": timings,
+    }
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _print_report_text(report: RunReport, out) -> None:
-    q = report.query
-    out.write(f"mu={_fmt(q.mu)} sigma={_fmt(q.sigma)} theta={_fmt(q.theta)}\n")
-    for r in report.results:
-        ms = report.timings[r.method.value]
-        if r.error is None:
-            line = f"  {r.method.value:<13} {_fmt(r.value):>14}"
-            if r.paper_value is not None:
-                line += f"  paper={_fmt(r.paper_value)}"
+def _print_report_text(report: dict, out) -> None:
+    q = report["query"]
+    out.write(f"mu={_fmt(q['mu'])} sigma={_fmt(q['sigma'])} theta={_fmt(q['theta'])}\n")
+    for r in report["results"]:
+        ms = report["timings"][r["method"]]
+        if "value" in r:
+            line = f"  {r['method']:<13} {_fmt(r['value']):>14}"
+            if "paper_value" in r:
+                line += f"  paper={_fmt(r['paper_value'])}"
             line += f"  [{ms:.1f} ms]"
         else:
-            line = f"  {r.method.value:<13} ERROR: {r.error}  [{ms:.1f} ms]"
+            line = f"  {r['method']:<13} ERROR: {r['error']}  [{ms:.1f} ms]"
         out.write(line + "\n")
-    if report.deltas:
-        worst = max(report.deltas, key=lambda d: d["abs"])
-        out.write(
-            f"  max pairwise delta: {worst['abs']:.3g} "
-            f"({worst['a']} vs {worst['b']})\n"
-        )
+    if report["deltas"]:
+        worst = max(report["deltas"], key=lambda d: d["abs"])
+        out.write(f"  max pairwise delta: {worst['abs']:.3g} ({worst['a']} vs {worst['b']})\n")
 
 
-def _reports_csv(reports: list[RunReport], out, table_id: int | None = None) -> None:
+def _reports_csv(reports: list[dict], out, table_id: int | None = None) -> None:
     w = csv.writer(out)
     header = ["mu", "sigma", "theta", "method", "value", "paper_value", "error", "time_ms"]
     if table_id is not None:
         header.insert(0, "table")
     w.writerow(header)
     for rep in reports:
-        q = rep.query
-        for r in rep.results:
+        q = rep["query"]
+        for r in rep["results"]:
             row = [
-                _fmt(q.mu),
-                _fmt(q.sigma),
-                _fmt(q.theta),
-                r.method.value,
-                _fmt(r.value) if r.error is None else "",
-                _fmt(r.paper_value) if r.paper_value is not None else "",
-                r.error or "",
-                f"{rep.timings[r.method.value]:.3f}",
+                _fmt(q["mu"]),
+                _fmt(q["sigma"]),
+                _fmt(q["theta"]),
+                r["method"],
+                _fmt(r["value"]) if "value" in r else "",
+                _fmt(r["paper_value"]) if "paper_value" in r else "",
+                r.get("error", ""),
+                f"{rep['timings'][r['method']]:.3f}",
             ]
             if table_id is not None:
                 row.insert(0, str(table_id))
             w.writerow(row)
 
 
-def _emit(reports: list[RunReport], fmt: str, table_id: int | None = None) -> None:
+def _emit(reports: list[dict], fmt: str, table_id: int | None = None) -> None:
     out = sys.stdout
     if fmt == "json":
-        doc = [r.as_dict() for r in reports]
-        json.dump(doc[0] if table_id is None and len(doc) == 1 else doc, out, indent=2)
+        json.dump(reports if table_id is not None else reports[0], out, indent=2)
         out.write("\n")
     elif fmt == "csv":
         _reports_csv(reports, out, table_id)
+    elif table_id is not None:
+        _print_table_text(reports, table_id, out)
     else:
-        if table_id is not None:
-            _print_table_text(reports, table_id, out)
-        else:
-            for rep in reports:
-                _print_report_text(rep, out)
+        for rep in reports:
+            _print_report_text(rep, out)
 
 
-def _print_table_text(reports: list[RunReport], table_id: int, out) -> None:
+def _print_table_text(reports: list[dict], table_id: int, out) -> None:
     spec = TABLES[table_id]
-    thetas = [rep.query.theta for rep in reports]
-    out.write(
-        f"table {table_id}: mu={_fmt(spec.mu)} sigma={_fmt(spec.sigma)}\n"
-    )
+    thetas = [rep["query"]["theta"] for rep in reports]
+    out.write(f"table {table_id}: mu={_fmt(spec.mu)} sigma={_fmt(spec.sigma)}\n")
     head = f"{'method':<22}" + "".join(f"{_fmt(t):>15}" for t in thetas)
     out.write(head + "\n")
-    for method in _METHOD_ORDER:
-        cells = []
-        paper_cells = []
-        for rep in reports:
-            r = next(x for x in rep.results if x.method is method)
-            cells.append(_fmt(r.value) if r.error is None else "ERROR")
-            paper_cells.append(
-                _fmt(r.paper_value) if r.paper_value is not None else ""
-            )
-        out.write(f"{method.value:<22}" + "".join(f"{c:>15}" for c in cells) + "\n")
+    # one tuple per method: its result at each theta
+    for rows in zip(*(rep["results"] for rep in reports)):
+        cells = [_fmt(r["value"]) if "value" in r else "ERROR" for r in rows]
+        paper_cells = [_fmt(r["paper_value"]) for r in rows]
+        out.write(f"{rows[0]['method']:<22}" + "".join(f"{c:>15}" for c in cells) + "\n")
         out.write(f"{'  (paper)':<22}" + "".join(f"{c:>15}" for c in paper_cells) + "\n")
 
 
 def _cmd_compute(args) -> int:
     q = MgfQuery(mu=args.mu, sigma=args.sigma, theta=args.theta)
     RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
-    report = _run_report(q, _configs(args.methods, args))
+    report = _run_report(q, _runners(args.methods, args))
     if args.dump_grid:
         grid = build_grid(
             GaussianParams(q.mu, q.sigma), TileGridConfig(n_pairs=args.n_pairs)
@@ -276,19 +220,18 @@ def _cmd_compute(args) -> int:
             with open(args.dump_trajectory, "w") as fh:
                 trajectory_csv(q, ZeroEntropyConfig(steps=args.steps), fh)
     _emit([report], args.format)
-    return 1 if any(r.error for r in report.results) else 0
+    return 1 if any("error" in r for r in report["results"]) else 0
 
 
 def _cmd_table(args) -> int:
-    configs = _configs(list(_METHOD_ORDER), args)
+    runners = _runners(list(_METHOD_ORDER), args)
     spec = TABLES[args.id]
     reports = []
     for theta in spec.thetas:
         q = MgfQuery(mu=spec.mu, sigma=spec.sigma, theta=theta)
-        reports.append(_run_report(q, configs, table_id=args.id))
+        reports.append(_run_report(q, runners, table_id=args.id))
     _emit(reports, args.format, table_id=args.id)
-    bad = any(r.error for rep in reports for r in rep.results)
-    return 1 if bad else 0
+    return 1 if any("error" in r for rep in reports for r in rep["results"]) else 0
 
 
 def _cmd_paths(args) -> int:

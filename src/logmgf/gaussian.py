@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,13 @@ class RngSeed:
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed, index)))
         )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, read afresh on every call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pdf(x: float, p: GaussianParams) -> float:

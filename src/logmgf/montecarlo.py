@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .gaussian import RngSeed
+from .gaussian import RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
 _BLOCK = 1 << 20  # draws per sub-stream; another size draws other streams
@@ -204,11 +204,7 @@ def _helper_for(n_pieces: int) -> _Helper | None:
     if n_pieces < 2:
         return None
     if _helper is None:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        if cpus > 1:
+        if _usable_cpus() > 1:
             with _starting:
                 if _helper is None:
                     _helper = _Helper()

@@ -55,17 +55,28 @@ class TileGridConfig:
 class TileGrid:
     """Immutable tile partition for one Gaussian law.
 
-    coordinates holds x_0 = mu .. x_K (strictly increasing) and areas the
-    cumulative two-sided mass A_n for pairs n = 1..K, with K = n_pairs - 1 of
-    the configuration and coverage = A_K < 1. Every pair has slope s_n = 1
-    and mass dA_n = tile_mass.
+    z holds the standard nodes z_0 = 0 .. z_K (strictly increasing) and areas
+    the cumulative two-sided mass A_n for pairs n = 1..K, with K = n_pairs - 1
+    of the configuration; both are the cached, read-only standard grid. Every
+    pair has slope s_n = 1 and mass dA_n = tile_mass.
     """
 
     mu: float
     sigma: float
-    coordinates: np.ndarray
+    z: np.ndarray
     areas: np.ndarray
-    coverage: float
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        """x_n = mu + sigma * z_n, made on each access; for sigma beyond about
+        4e307 the outer x_n are +-inf, where the integrand takes its limit."""
+        with np.errstate(over="ignore"):
+            return self.mu + self.sigma * self.z
+
+    @property
+    def coverage(self) -> float:
+        """Covered mass A_K < 1."""
+        return float(self.areas[-1])
 
     @property
     def n_pairs(self) -> int:
@@ -80,11 +91,9 @@ class TileGrid:
         """Dump `n,x_n,s_n,dA_n,A_n`, one row per pair of tiles."""
         sink.write("n,x_n,s_n,dA_n,A_n\n")
         slope_and_mass = f"1.0,{self.tile_mass!r}"
-        for n in range(1, len(self.coordinates)):
-            sink.write(
-                f"{n},{float(self.coordinates[n])!r},{slope_and_mass},"
-                f"{float(self.areas[n - 1])!r}\n"
-            )
+        pairs = zip(self.coordinates[1:].tolist(), self.areas.tolist())
+        for n, (x, area) in enumerate(pairs, 1):
+            sink.write(f"{n},{x!r},{slope_and_mass},{area!r}\n")
 
 
 @dataclass(frozen=True)
@@ -111,22 +120,8 @@ def _standard_grid(n_pairs: int):
 
 
 def build_grid(p: GaussianParams, cfg: TileGridConfig) -> TileGrid:
-    """Build the tile grid for N(mu, sigma^2) with n_pairs - 1 pairs.
-
-    Maps the cached standard grid to x_n = mu + sigma * z_n. For sigma beyond
-    about 4e307 the outer x_n overflow to +-inf, where the integrand is
-    evaluated at its limit.
-    """
-    z, areas = _standard_grid(cfg.n_pairs)
-    with np.errstate(over="ignore"):
-        coordinates = p.mu + p.sigma * z
-    return TileGrid(
-        mu=p.mu,
-        sigma=p.sigma,
-        coordinates=coordinates,
-        areas=areas,
-        coverage=float(areas[-1]),
-    )
+    """The tile grid for N(mu, sigma^2) with n_pairs - 1 pairs, on the cached standard grid."""
+    return TileGrid(p.mu, p.sigma, *_standard_grid(cfg.n_pairs))
 
 
 def _evaluate(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -225,24 +220,26 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
     rule because the published thin_tile column is that rule. Safe to share
     the grid across concurrent calls.
 
-    The grid is walked in pieces of _PIECE pairs, so every temporary stays
-    near 64 KiB, in cache and below the allocator's mmap threshold. Adjacent
-    pieces share one coordinate, which is evaluated in both; n_evals counts
-    each grid point and its mirror once. The exact parts of all pieces are
-    rounded by one fsum, so the value does not depend on the piece size. A
-    non-finite value anywhere names the first bad f(x_n) over the whole grid
-    before any bad mirror.
+    The grid is walked in pieces of _PIECE pairs, each mapped from the
+    standard nodes to x_n = mu + sigma * z_n as it is reached, so every
+    temporary stays near 64 KiB, in cache and below the allocator's mmap
+    threshold. Adjacent pieces share one coordinate, which is evaluated in
+    both; n_evals counts each grid point and its mirror once. The exact
+    parts of all pieces are rounded by one fsum, so the value does not
+    depend on the piece size. A non-finite value anywhere names the first
+    bad f(x_n) over the whole grid before any bad mirror.
     """
-    xs_all = grid.coordinates
     parts = []
     for start in range(0, grid.n_pairs, _PIECE):
-        xs = xs_all[start : start + _PIECE + 1]
+        with np.errstate(over="ignore"):
+            xs = grid.mu + grid.sigma * grid.z[start : start + _PIECE + 1]
         mirrored = _mirror(grid.mu, xs)
         fx = _evaluate(f, xs)
         fm = _evaluate(f, mirrored)
         if not (np.isfinite(fx).all() and np.isfinite(fm).all()):
             # the first bad f(x_n) of the whole grid is named before any bad
             # mirror, even one in an earlier piece
+            xs_all = grid.coordinates
             whole = _mirror(grid.mu, xs_all)
             _raise_non_finite(_evaluate(f, xs_all), _evaluate(f, whole), xs_all, whole)
             _raise_non_finite(fx, fm, xs, mirrored)  # f changed its values
@@ -265,7 +262,7 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
     return Expectation(
         value=numer / denom,
         coverage=grid.coverage,
-        n_evals=2 * len(xs_all),
+        n_evals=2 * len(grid.z),
     )
 
 
@@ -285,7 +282,8 @@ def expectation(
     grid = build_grid(p, cfg)
     inner = expectation_on_grid(f, grid)
     tail_mass = 1.0 - grid.coverage
-    z_k = (grid.coordinates[-1] - grid.mu) / grid.sigma
+    x_k = grid.mu + grid.sigma * float(grid.z[-1])
+    z_k = (x_k - grid.mu) / grid.sigma
     tail_mean_z = pdf(z_k, GaussianParams(0.0, 1.0)) / (0.5 * tail_mass)
     x_tail = grid.mu + grid.sigma * tail_mean_z
     xs = np.array([x_tail, 2.0 * grid.mu - x_tail])

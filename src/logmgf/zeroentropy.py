@@ -40,14 +40,13 @@ the independent oracle for the ODE system.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PathOverflow
-from .gaussian import RngSeed
+from .gaussian import RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
 _OVERFLOW_GUARD = 700.0  # exp(710) overflows a double
@@ -300,11 +299,7 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     pull = sign * s2h
     terminal = np.empty(n_paths)
     starts = range(0, n_paths, _PATH_BLOCK)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(starts))
+    workers = min(_usable_cpus(), len(starts))
     width = min(_PATH_BLOCK, n_paths)
     chunk = max(1, min(steps, _SHOCK_FLOATS // (workers * width)))
     # allocated here, not in the workers: a buffer freed in a worker thread

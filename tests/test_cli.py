@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,3 +338,33 @@ def test_tile_mean_of_finite_values_is_finite(capsys):
     assert code == 0
     (row,) = json.loads(out)["results"]
     assert 1e303 < row["value"] < 1e304
+
+
+# Output captured before the CLI's report and method dispatch were merged
+# into one dict and one table; every byte but the timings must stay.
+_GOLDEN = Path(__file__).with_name("cli_golden.json")
+_GOLDEN_ARGV = {
+    "compute-ok": ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "0.5"],
+    "compute-error-row": ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "40"],
+    "compute-laplace": ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1",
+                        "--methods", "laplace"],
+    "table-2": ["table", "--id", "2"],
+}
+
+
+def _mask_timings(out):
+    """Replace each timing by x: text `[1.2 ms]`, csv time_ms, json `timings`."""
+    out = re.sub(r"\[\d+\.\d ms\]", "[x ms]", out)
+    out = re.sub(r",\d+\.\d{3}\r\n", ",x\r\n", out)
+    return re.sub(r'"timings": \{[^}]*\}', lambda m: re.sub(r": [\d.e+-]+", ": x", m.group()), out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("case", list(_GOLDEN_ARGV))
+def test_output_matches_the_golden_bytes(capsys, case, fmt):
+    code = main([*_GOLDEN_ARGV[case], "--mc-samples", "20000", "--format", fmt])
+    captured = capsys.readouterr()
+    golden = json.loads(_GOLDEN.read_text())[f"{case}/{fmt}"]
+    assert captured.err == ""
+    assert code == golden["code"]
+    assert _mask_timings(captured.out) == golden["stdout"]

@@ -192,6 +192,20 @@ def test_tail_budget_covers_the_quadrature_error(mu, log_sigma, log_neg_theta):
     assert abs(d["tail_factor"] - ref) <= d["tail_budget"]
 
 
+@pytest.mark.parametrize(
+    "mu, sigma, theta",
+    [(0.0, math.exp(2.890625), -math.exp(4.0)), (1.7, 15.0, -0.475), (-2.0, 20.0, -0.0037)],
+)
+def test_the_trapezoid_factor_is_within_its_budget(mu, sigma, theta):
+    # 256 Hermite nodes do not converge here: their sum was off by 3.9e-5,
+    # 4.7e-5 and 3.7e-3, beyond the last difference each time
+    d = mgf_asmussen(MgfQuery(mu, sigma, theta)).diagnostics
+    assert d["tail_nodes"] > 256
+    w, s2 = d["lambert_w"], sigma * sigma
+    ref = _mp_residual(w / s2, math.sqrt(s2 / (1.0 + w)))
+    assert abs(d["tail_factor"] - ref) <= d["tail_budget"] <= 1e-13 * ref
+
+
 def test_wide_sigma_is_finite_or_typed_without_warnings():
     # expm1 overflows at the outer nodes from sigma of about 35
     with warnings.catch_warnings():

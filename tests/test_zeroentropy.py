@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -450,7 +451,7 @@ def _unthreaded_simulate(q, n_paths, steps, seed, overflow_guard=700.0):
 def test_paths_match_unthreaded_reference(
     monkeypatch, cpus, q, n_paths, steps, seed, shock_floats
 ):
-    monkeypatch.setattr(ze.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(ze, "_SHOCK_FLOATS", shock_floats)
     expected, n_overflowed = _unthreaded_simulate(q, n_paths, steps, RngSeed(seed))
     ens = simulate_paths(q, n_paths, steps, RngSeed(seed))
