@@ -340,8 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     A DomainError (bad input) exits 2 and any other LogMgfError exits 1, each
-    with one line on stderr instead of a traceback. A reader that closes the
-    output early, as `| head` does, ends the run quietly with exit 1.
+    with one line on stderr instead of a traceback; so does a MemoryError, as
+    from a size too large to allocate. A reader that closes the output early,
+    as `| head` does, ends the run quietly with exit 1.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -351,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     except LogMgfError as exc:
         print(f"logmgf: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1
+    except MemoryError as exc:
+        print(f"logmgf: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # stdout still holds unwritten output: point it at devnull so the
         # interpreter's flush at exit does not raise again

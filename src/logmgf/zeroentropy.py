@@ -134,8 +134,12 @@ def _euler(
 ) -> Iterator[tuple[float, float, float]]:
     """Euler trajectory of (m, v) over [0, 1] as (t, m, v) floats.
 
-    A negative radicand (possible for theta < 0 at small t with large sigma)
-    clamps that step's v' to zero and is counted in info.clamped_steps.
+    The radicand is negative only by rounding. Write X = sigma sqrt(v/t) and
+    Y = sigma^2 g e^(m+v/2) sqrt(v (e^v - 1)); the radicand is X^2 + Y^2 plus
+    a cross term of size 2 sigma^3 g v^1.5 e^(m+v/2) / sqrt(t), which is at
+    most 2XY because e^v - 1 >= v. So the radicand is at least (X - Y)^2.
+    A rounded negative radicand clamps that step's v' to zero and is counted
+    in info.clamped_steps.
     sigma^3 beyond the float range is inf, so the radicand is not finite and
     the step that first needs it diverges.
     """
@@ -286,8 +290,8 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     """
     if q.theta == 0.0:
         raise DomainError("theta = 0 has no driving process; MGF is 1 exactly")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    if not 1 <= n_paths <= 2**32:  # path p's sub-stream key needs p < 2^32
+        raise DomainError(f"n_paths must lie in [1, 2^32], got {n_paths}")
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     dt = 1.0 / steps

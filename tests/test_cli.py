@@ -125,6 +125,24 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("logmgf: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compute", "--mu", "0", "--sigma", "1", "--theta", "-1", "--methods", "tile",
+          "--n-pairs", str(10**15)], 1),
+        (["paths", "--mu", "0", "--sigma", "1", "--theta", "-1", "--n", str(10**15)], 2),
+    ],
+    ids=["compute-tile-out-of-memory", "paths-beyond-the-substream-keys"],
+)
+def test_a_size_too_large_ends_in_one_line(capsys, argv, code):
+    # 10^15 doubles are 7 PiB: the allocation fails at once, touching no memory
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("logmgf: error: ")
+
+
 def test_table_csv_format(capsys):
     code, out = run_cli(capsys, "table", "--id", "2", "--format", "csv",
                         "--mc-samples", "10000")
@@ -341,7 +359,9 @@ def test_tile_mean_of_finite_values_is_finite(capsys):
 
 
 # Output captured before the CLI's report and method dispatch were merged
-# into one dict and one table; every byte but the timings must stay.
+# into one dict and one table; every byte but the timings must stay. The
+# laplace_w digits in compute-laplace/json and table-2/json are those of the
+# trapezoid-rule residual factor.
 _GOLDEN = Path(__file__).with_name("cli_golden.json")
 _GOLDEN_ARGV = {
     "compute-ok": ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "0.5"],

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
 No linter runs on this repository, so this is the check. `__init__.py` is
-left out: its imports are the package's exports.
+left out of the first: its imports are the package's exports.
 """
 
 import ast
@@ -38,3 +39,54 @@ def test_no_unused_imports(path):
 def test_the_check_finds_an_unused_import():
     source = "import io\nimport os\nfrom dataclasses import dataclass, field\n\nos.sep\n@dataclass\nclass A: pass\n"
     assert _unused_imports(source) == ["io (line 1)", "field (line 3)"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level `_name`s a module defines (dunder names excluded)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(n, line) for n, line in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """`module: _name (line n)` for each private module-level name that no
+    module of `sources` loads, reads as an attribute or imports by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in referenced
+    ]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(_SRC.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_the_check_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": (
+            "_USED = 1\n_DEAD = 2\n_DEAD_TOO: int = 3\n\n"
+            "def _helper():\n    return _USED\n\nclass _Gone: pass\n"
+        ),
+        "b.py": "from .a import _helper\n_helper()\n",
+    }
+    assert _unreferenced_private_names(sources) == [
+        "a.py: _DEAD (line 2)", "a.py: _DEAD_TOO (line 3)", "a.py: _Gone (line 8)",
+    ]

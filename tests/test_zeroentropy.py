@@ -479,6 +479,13 @@ def test_paths_rejects_theta_zero():
         simulate_paths(MgfQuery(0.0, 1.0, 0.0), 10, 10, RngSeed(0))
 
 
+def test_paths_beyond_the_substream_keys_raise_before_allocating():
+    # path p's sub-stream key needs p < 2^32; the check comes before the
+    # 32 GiB terminal array and before any path is stepped
+    with pytest.raises(DomainError, match=r"2\^32"):
+        simulate_paths(MgfQuery(0.0, 1.0, -1.0), 2**32 + 1, 10, RngSeed(0))
+
+
 def test_ensemble_moments_gaussian_sample():
     draws = np.random.default_rng(17).standard_normal(200_000)
     mom = ensemble_moments(draws)
