@@ -33,23 +33,14 @@ from .zeroentropy import (
     trajectory_csv,
 )
 
-_METHOD_ORDER = (
-    Method.ZERO_ENTROPY,
-    Method.THIN_TILE,
-    Method.LAPLACE_W,
-    Method.MONTE_CARLO,
-)
-_ALIASES = {
-    "zero_entropy": Method.ZERO_ENTROPY,
+_METHOD_ORDER = tuple(Method)
+_ALIASES = {m.value: m for m in Method} | {
     "zero-entropy": Method.ZERO_ENTROPY,
     "zero": Method.ZERO_ENTROPY,
-    "thin_tile": Method.THIN_TILE,
     "thin-tile": Method.THIN_TILE,
     "tile": Method.THIN_TILE,
-    "laplace_w": Method.LAPLACE_W,
     "laplace": Method.LAPLACE_W,
     "lambert": Method.LAPLACE_W,
-    "monte_carlo": Method.MONTE_CARLO,
     "mc": Method.MONTE_CARLO,
 }
 

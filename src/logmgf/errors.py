@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check that raises one."""
+
+import operator
 
 
 class LogMgfError(Exception):
@@ -41,3 +43,11 @@ class ConvergenceError(LogMgfError, ArithmeticError):
 
 class PathOverflow(LogMgfError, OverflowError):
     """A simulated path exceeded the overflow guard, or ensemble moments overflowed."""
+
+
+def _index(name: str, value) -> int:
+    """value as an int (Python and numpy integers pass); DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

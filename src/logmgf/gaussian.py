@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _index
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -126,7 +126,7 @@ class RngSeed:
     seed: int
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= _index("seed", self.seed) < 2**64):
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
 
     def substreams(self, start: int, stop: int) -> list[np.random.Generator]:

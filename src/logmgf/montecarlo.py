@@ -17,14 +17,14 @@ and with the same roundings, in place in a reused buffer, so a piece's sums do
 not depend on how many pieces one numpy call covers.
 
 Where more than one CPU is usable, one daemon helper thread per process shares
-the pieces of a block. The caller posts the block; then it claims spans of
-_SPAN pieces from the front, in a 2 MiB buffer that each calling thread keeps,
-while the helper claims single pieces from the back in its own 512 KiB buffer.
-The caller never waits for the helper: when the claims meet, it evaluates any
-piece the helper has claimed but not yet stored itself, from the same inputs
-and so to the same floats. A stalled or failing helper therefore costs only
-the time of its pieces. On one usable CPU no helper starts and the caller
-claims every piece.
+the pieces of a block. The caller queues a weak reference to the block, then
+claims spans of _SPAN pieces from the front, in a 2 MiB buffer that each
+calling thread keeps, while the helper claims single pieces from the back in
+its own 512 KiB buffer. The caller never waits for the helper: when the claims
+meet, it evaluates any piece the helper has claimed but not yet stored itself,
+to the same floats. A stalled or failing helper therefore costs only the time
+of its pieces, and a job whose caller has returned claims nothing and keeps
+nothing alive. On one usable CPU no helper starts.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import functools
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, _index
 from .gaussian import RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -52,7 +53,9 @@ class McConfig:
     seed: RngSeed = field(default_factory=lambda: RngSeed(0))
 
     def __post_init__(self):
-        if self.n_samples < 1_000:
+        if not isinstance(self.seed, RngSeed):
+            raise DomainError(f"seed must be an RngSeed, got {self.seed!r}")
+        if _index("n_samples", self.n_samples) < 1_000:
             raise DomainError(
                 f"n_samples must be >= 1000 for a meaningful standard error, "
                 f"got {self.n_samples}"
@@ -109,31 +112,22 @@ class _Block:
         for i, moments in enumerate(zip(sums, _piece_sums(f)), start):
             self.moments[i] = moments
 
-    def claim_front(self, span: int) -> tuple[int, int]:
-        """Claim up to span pieces from the front; start == stop if none is left."""
-        with self._claims:
-            start = self._front
-            self._front = stop = min(start + span, self._back)
-        return start, stop
-
-    def run_front(self, buf: np.ndarray) -> None:
-        """Claim and evaluate spans that fill buf until none is left to claim."""
+    def run(self, buf: np.ndarray, front: bool = True, limit: int = -1) -> None:
+        """Claim up to len(buf) // _PIECE pieces at a time from one end and
+        evaluate them, until none is left or, if limit >= 0, after limit claims."""
         span = max(1, len(buf) // _PIECE)
-        while True:
-            start, stop = self.claim_front(span)
+        while limit != 0:
+            with self._claims:
+                if front:
+                    start = self._front
+                    self._front = stop = min(start + span, self._back)
+                else:
+                    stop = self._back
+                    self._back = start = max(stop - span, self._front)
             if start == stop:
                 return
             self.evaluate(start, stop, buf)
-
-    def run_back(self, buf: np.ndarray) -> None:
-        """Claim and evaluate single pieces until none is left to claim."""
-        while True:
-            with self._claims:
-                if self._back <= self._front:
-                    return
-                self._back -= 1
-                i = self._back
-            self.evaluate(i, i + 1, buf)
+            limit -= 1
 
 
 def _piece_sums(f: np.ndarray) -> list[float]:
@@ -156,65 +150,45 @@ def _span_buffer(n: int) -> np.ndarray:
     return buf[:n]
 
 
-class _Helper:
-    """A daemon thread that runs the block posted in its one job slot."""
-
-    def __init__(self):
-        self._ready = threading.Condition()
-        self._job: _Block | None = None
-        self._buf = np.empty(_PIECE)
-        self.thread = threading.Thread(
-            target=self._serve, name="logmgf-montecarlo", daemon=True
-        )
-        self.thread.start()
-
-    def post(self, job: _Block) -> None:
-        """Offer job, replacing any other caller's; that caller finishes alone."""
-        with self._ready:
-            self._job = job
-            self._ready.notify()
-
-    def withdraw(self, job: _Block) -> None:
-        with self._ready:
-            if self._job is job:
-                self._job = None
-
-    def _serve(self) -> None:
-        # the error state is per thread; a new thread starts from the default
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                with self._ready:
-                    while self._job is None:
-                        self._ready.wait()
-                    job, self._job = self._job, None
-                try:
-                    job.run_back(self._buf)
-                except Exception:
-                    pass  # the caller evaluates every piece left unstored, and raises
-                job = None  # hold no block of normals while idle
+def _serve(jobs) -> None:
+    buf = np.empty(_PIECE)
+    # the error state is per thread; a new thread starts from the default
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            block = jobs.get()()  # None once the block's caller has returned
+            try:
+                if block is not None:
+                    block.run(buf, front=False)
+            except Exception:
+                pass  # the caller evaluates every piece left unstored, and raises
+            block = None  # hold no block of normals while idle
 
 
-_helper: _Helper | None = None
+_jobs = None  # the helper's queue.SimpleQueue of weak references to blocks
 _starting = threading.Lock()
 
 
-def _helper_for(n_pieces: int) -> _Helper | None:
-    """The process's helper, started on first need; None if it cannot help."""
-    global _helper
+def _helper_jobs(n_pieces: int):
+    """The helper's job queue, its thread started on first need; None if it cannot help."""
+    global _jobs
     if n_pieces < 2:
         return None
-    if _helper is None:
-        if _usable_cpus() > 1:
-            with _starting:
-                if _helper is None:
-                    _helper = _Helper()
-    return _helper
+    if _jobs is None and _usable_cpus() > 1:
+        with _starting:
+            if _jobs is None:
+                import queue  # here, not on every import of the CLI
+                jobs = queue.SimpleQueue()
+                threading.Thread(
+                    target=_serve, args=(jobs,), name="logmgf-montecarlo", daemon=True
+                ).start()
+                _jobs = jobs
+    return _jobs
 
 
 def _forget_helper() -> None:
     # a forked child has no helper thread, and a lock may have been held at the fork
-    global _helper, _starting
-    _helper, _starting = None, threading.Lock()
+    global _jobs, _starting
+    _jobs, _starting = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_helper)
@@ -251,16 +225,12 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
             block = _Block(_normals(cfg.seed, n_blocks, size), q, shift)
             if shift is None:
                 # piece 0 alone fixes the shift before the pieces are shared
-                block.evaluate(*block.claim_front(1), buf)
+                block.run(buf[:_PIECE], limit=1)
                 shift = block.shift
-            helper = _helper_for(len(block.moments))
-            if helper is not None:
-                helper.post(block)
-            try:
-                block.run_front(buf)
-            finally:
-                if helper is not None:
-                    helper.withdraw(block)
+            jobs = _helper_jobs(len(block.moments))
+            if jobs is not None:
+                jobs.put(weakref.ref(block))
+            block.run(buf)
             for i, moments in enumerate(block.moments):
                 if moments is None:  # claimed by the helper, not yet stored
                     block.evaluate(i, i + 1, buf)

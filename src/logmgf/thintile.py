@@ -33,7 +33,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteIntegrand
+from .errors import DomainError, NonFiniteIntegrand, _index
 from .gaussian import GaussianParams, inverse_cdf_std_array, pdf
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -47,7 +47,7 @@ class TileGridConfig:
     n_pairs: int = 80_000
 
     def __post_init__(self):
-        if self.n_pairs < 2:
+        if _index("n_pairs", self.n_pairs) < 2:
             raise DomainError(f"n_pairs must be >= 2, got {self.n_pairs}")
 
 

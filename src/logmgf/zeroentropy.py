@@ -45,7 +45,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PathOverflow
+from .errors import DivergenceError, DomainError, PathOverflow, _index
 from .gaussian import RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -71,7 +71,7 @@ class ZeroEntropyConfig:
     variance_kick: bool = False
 
     def __post_init__(self):
-        if self.steps < 10:
+        if _index("steps", self.steps) < 10:
             raise DomainError(f"steps must be >= 10, got {self.steps}")
 
 
@@ -290,9 +290,11 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     """
     if q.theta == 0.0:
         raise DomainError("theta = 0 has no driving process; MGF is 1 exactly")
-    if not 1 <= n_paths <= 2**32:  # path p's sub-stream key needs p < 2^32
+    if not isinstance(seed, RngSeed):
+        raise DomainError(f"seed must be an RngSeed, got {seed!r}")
+    if not 1 <= _index("n_paths", n_paths) <= 2**32:  # path p's key needs p < 2^32
         raise DomainError(f"n_paths must lie in [1, 2^32], got {n_paths}")
-    if steps < 1:
+    if _index("steps", steps) < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     dt = 1.0 / steps
     shock_scale = q.sigma * math.sqrt(dt)

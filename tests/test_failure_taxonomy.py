@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logmgf
 from logmgf import (
+    DomainError,
     LogMgfError,
     McConfig,
     MgfQuery,
@@ -18,6 +20,7 @@ from logmgf import (
     mgf_monte_carlo,
     mgf_thintile,
     mgf_zero_entropy,
+    simulate_paths,
 )
 
 # small engines: the failure modes depend on (mu, sigma, theta), not on size
@@ -58,6 +61,34 @@ def test_finite_value_or_typed_error(method, mu, sigma, theta):
     except LogMgfError:
         return
     assert math.isfinite(est.value)
+
+
+Q = MgfQuery(0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: mgf_monte_carlo(Q, McConfig(seed=5)),
+        lambda: McConfig(n_samples=1e6),
+        lambda: RngSeed(1.5),
+        lambda: TileGridConfig(n_pairs=2.5),
+        lambda: ZeroEntropyConfig(steps=20.5),
+        lambda: simulate_paths(Q, 10, 10, 3),
+        lambda: simulate_paths(Q, 10.0, 10, RngSeed(0)),
+        lambda: simulate_paths(Q, 10, 10.5, RngSeed(0)),
+    ],
+    ids=["mc seed", "n_samples", "RngSeed", "n_pairs", "steps", "paths seed", "n_paths", "paths steps"],
+)
+def test_wrong_typed_seeds_and_sizes_raise_domain_error(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_numpy_integers_are_integers():
+    assert McConfig(n_samples=np.int64(1_000), seed=RngSeed(np.uint64(7))).n_samples == 1_000
+    assert TileGridConfig(n_pairs=np.int32(2)).n_pairs == 2
+    assert ZeroEntropyConfig(steps=np.int16(10)).steps == 10
 
 
 @pytest.mark.parametrize("mu", [-800.0, 0.0, 800.0])

@@ -1,11 +1,13 @@
 import math
 import os
+import queue
 import signal
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -155,7 +157,7 @@ def test_spans_and_pieces_equal_the_per_piece_reference(monkeypatch, block, shar
     # a partial last piece in every block and a partial last block
     monkeypatch.setattr(mc, "_BLOCK", block)
     if sharing == "alone":
-        monkeypatch.setattr(mc, "_helper_for", lambda n_pieces: None)
+        monkeypatch.setattr(mc, "_helper_jobs", lambda n_pieces: None)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     q = MgfQuery(0.3, 0.7, -5.5)
@@ -243,40 +245,55 @@ def test_overflow_block_matches_the_reference(monkeypatch):
 def serial(q, cfg):
     """(value, diagnostics) with the helper disabled: the caller evaluates every piece."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mc, "_helper_for", lambda n_pieces: None)
+        mp.setattr(mc, "_helper_jobs", lambda n_pieces: None)
         est = mgf_monte_carlo(q, cfg)
     return est.value, est.diagnostics
 
 
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name == "logmgf-montecarlo"]
+
+
 @pytest.fixture
 def helper(monkeypatch):
-    """The process's helper, started even where one CPU is usable."""
+    """The thread that serves the process's helper jobs, started even where
+    one CPU is usable; found by queueing a job that records its thread."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    h = mc._helper_for(2)
-    assert h is not None and h.thread.is_alive()
-    return h
+    jobs = mc._helper_jobs(2)
+    assert jobs is not None
+    served = queue.SimpleQueue()
+
+    class Probe:  # run as a block is, from the back
+        def run(self, buf, front):
+            served.put(threading.current_thread())
+
+    probe = Probe()
+    jobs.put(weakref.ref(probe))
+    thread = served.get(timeout=10)
+    assert thread in helper_threads() and thread.is_alive()
+    return thread
 
 
 def make_the_helper_take_a_piece(monkeypatch, helper, in_helper):
     """Patch _Block: once the shift is fixed, the caller's first claim waits
     (10 s at most) until the helper has claimed a piece, and in_helper
     evaluates each piece the helper claims."""
-    evaluate, claim_front = mc._Block.evaluate, mc._Block.claim_front
+    evaluate, run = mc._Block.evaluate, mc._Block.run
     claimed = threading.Event()
 
     def helper_evaluate(block, start, stop, buf):
-        if threading.current_thread() is not helper.thread:
+        if threading.current_thread() is not helper:
             return evaluate(block, start, stop, buf)
         claimed.set()
         in_helper(evaluate, block, start, stop, buf)
 
-    def caller_claim_front(block, span):
-        if block.shift is not None:
+    def caller_run(block, buf, front=True, limit=-1):
+        if front and block.shift is not None:
             claimed.wait(10)
-        return claim_front(block, span)
+        return run(block, buf, front, limit)
 
     monkeypatch.setattr(mc._Block, "evaluate", helper_evaluate)
-    monkeypatch.setattr(mc._Block, "claim_front", caller_claim_front)
+    monkeypatch.setattr(mc._Block, "run", caller_run)
     return claimed
 
 
@@ -303,6 +320,69 @@ def test_a_stalled_helper_never_delays_the_call(monkeypatch, helper):
     assert woke == [True]  # the call returned while the helper still held its piece
 
 
+def test_a_queued_job_keeps_no_block_alive_after_its_call(monkeypatch, helper):
+    # the helper stalls on a piece of the first call's block; the second
+    # call's job waits behind it, and its block must die when the call returns
+    q = MgfQuery(0.3, 0.7, -5.5)
+    cfg = McConfig(n_samples=3 * mc._PIECE + 11, seed=RngSeed(23))
+    want = serial(q, cfg)
+    blocks, returned, woke = [], threading.Event(), []
+
+    class Recorded(mc._Block):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(weakref.ref(self))
+
+    def stall(real, block, start, stop, buf):
+        woke.append(returned.wait(10))
+        real(block, start, stop, buf)
+
+    monkeypatch.setattr(mc, "_Block", Recorded)
+    claimed = make_the_helper_take_a_piece(monkeypatch, helper, stall)
+    got = [mgf_monte_carlo(q, cfg) for _ in range(2)]
+    try:
+        assert claimed.is_set() and not woke  # the helper is still stalled
+        assert len(blocks) == 2 and blocks[1]() is None
+    finally:
+        returned.set()
+    assert [(est.value, est.diagnostics) for est in got] == [want, want]
+    deadline = time.monotonic() + 10
+    while blocks[0]() is not None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert woke == [True] and blocks[0]() is None  # released, the helper lets it go
+
+
+def test_racing_first_calls_start_exactly_one_helper(monkeypatch):
+    # every caller finds no helper before any of them starts one, so only
+    # the check under the start lock keeps them from starting four
+    callers = 4
+    arrived = threading.Barrier(callers)
+
+    def usable_cpus():
+        arrived.wait(10)
+        return 2
+
+    monkeypatch.setattr(mc, "_jobs", None)
+    monkeypatch.setattr(mc, "_usable_cpus", usable_cpus)
+    q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=2 * mc._PIECE + 1, seed=RngSeed(5))
+    want = serial(q, cfg)
+    before, got = helper_threads(), []
+
+    def call():
+        est = mgf_monte_carlo(q, cfg)
+        got.append((est.value, est.diagnostics))
+
+    threads = [threading.Thread(target=call) for _ in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * callers
+    assert mc._jobs is not None
+    assert len(helper_threads()) == len(before) + 1
+
+
 def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     escaped = []
     monkeypatch.setattr(threading, "excepthook", escaped.append)
@@ -319,7 +399,7 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     est = mgf_monte_carlo(q, cfg)
     assert claimed.is_set() and raised
     assert (est.value, est.diagnostics) == want
-    assert escaped == [] and helper.thread.is_alive()
+    assert escaped == [] and helper.is_alive()
 
 
 def test_concurrent_callers_each_get_their_serial_value(monkeypatch, helper):
@@ -355,25 +435,26 @@ def test_concurrent_callers_each_get_their_serial_value(monkeypatch, helper):
 def test_one_usable_cpu_starts_no_helper(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(mc, "_helper", None)
+    monkeypatch.setattr(mc, "_jobs", None)
     before = threading.enumerate()
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=300_000, seed=RngSeed(6))
     est = mgf_monte_carlo(q, cfg)
-    assert mc._helper is None
+    assert mc._jobs is None
     assert threading.enumerate() == before
     assert (est.value, est.diagnostics) == serial(q, cfg)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helper(helper):
-    # the fork happens while another thread holds the parent helper's lock,
+    # the fork happens while another thread holds the helper's start lock,
     # which no thread of the child could ever release
     q, cfg = MgfQuery(0.3, 0.7, -5.5), McConfig(n_samples=300_000, seed=RngSeed(12))
     want = serial(q, cfg)
+    parent_jobs = mc._jobs
     held, release = threading.Event(), threading.Event()
 
     def hold():
-        with helper._ready:
+        with mc._starting:
             held.set()
             release.wait(60)
 
@@ -388,7 +469,7 @@ def test_a_forked_child_starts_its_own_helper(helper):
             code = 1
             try:
                 est = mgf_monte_carlo(q, cfg)
-                fresh = mc._helper is not None and mc._helper is not helper
+                fresh = mc._jobs is not None and mc._jobs is not parent_jobs
                 code = 0 if fresh and (est.value, est.diagnostics) == want else 1
             finally:
                 os._exit(code)
