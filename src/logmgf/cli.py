@@ -18,7 +18,7 @@ import sys
 import time
 
 from .errors import DomainError, LogMgfError
-from .gaussian import GaussianParams, RngSeed
+from .gaussian import RngSeed
 from .lambertw import mgf_asmussen
 from .montecarlo import McConfig, mgf_monte_carlo
 from .tables import TABLES
@@ -199,9 +199,7 @@ def _cmd_compute(args) -> int:
     RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
     report = _run_report(q, _runners(args.methods, args))
     if args.dump_grid:
-        grid = build_grid(
-            GaussianParams(q.mu, q.sigma), TileGridConfig(n_pairs=args.n_pairs)
-        )
+        grid = build_grid(q, TileGridConfig(n_pairs=args.n_pairs))
         with open(args.dump_grid, "w") as fh:
             grid.to_csv(fh)
     if args.dump_trajectory:

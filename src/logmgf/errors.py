@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the integer check that raises one."""
+"""Exception types shared across the library, and the argument checks that raise one."""
 
 import operator
 
@@ -51,3 +51,12 @@ def _index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _config(cfg, cls):
+    """cfg, or cls() for None; DomainError for a config of any other type."""
+    if cfg is None:
+        return cls()
+    if not isinstance(cfg, cls):
+        raise DomainError(f"cfg must be a {cls.__name__} or None, got {cfg!r}")
+    return cfg

@@ -9,11 +9,12 @@ through the normal quantile: x_n = mu - sigma * inverse_cdf((1 - A_n)/2).
 
 The slope rule reduces to s_n = 1 for every pair: |z|*phi(z) peaks at z = 1
 with value 1/sqrt(2*pi*e) ~ 0.242 < 1. So dA_n = 1/N and A_n = n/N, and the
-grid is closed form, built with one array call of the quantile.
+grid is closed form, built with one array call of the quantile. A grid keeps
+only its nodes: every mass follows from N = len(z).
 
 The slope is taken in standardized coordinates, which makes grids for any
 (mu, sigma) exact affine images of the standard grid; the builder caches the
-standard grid per n_pairs and maps it. Working with the sigma-scaled density
+standard nodes per n_pairs and maps them. Working with the sigma-scaled density
 instead would starve the grid: its slope term exceeds 1 over a wide band for
 sigma < 1 and the tile budget runs out near the mode (coverage stalls around
 64% for sigma = 0.1 at N = 80,000).
@@ -33,7 +34,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteIntegrand, _index
+from .errors import DomainError, NonFiniteIntegrand, _config, _index
 from .gaussian import GaussianParams, inverse_cdf_std_array, pdf
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -55,16 +56,16 @@ class TileGridConfig:
 class TileGrid:
     """Immutable tile partition for one Gaussian law.
 
-    z holds the standard nodes z_0 = 0 .. z_K (strictly increasing) and areas
-    the cumulative two-sided mass A_n for pairs n = 1..K, with K = n_pairs - 1
-    of the configuration; both are the cached, read-only standard grid. Every
-    pair has slope s_n = 1 and mass dA_n = tile_mass.
+    z holds the standard nodes z_0 = 0 .. z_K (strictly increasing), the
+    cached, read-only standard grid, with K = n_pairs - 1 of the
+    configuration. Every pair has slope s_n = 1, so the masses need no array:
+    with N = len(z), pair n has mass dA_n = 1/N and A_n = n/N, each the
+    correctly rounded quotient of two integers.
     """
 
     mu: float
     sigma: float
     z: np.ndarray
-    areas: np.ndarray
 
     @property
     def coordinates(self) -> np.ndarray:
@@ -75,25 +76,24 @@ class TileGrid:
 
     @property
     def coverage(self) -> float:
-        """Covered mass A_K < 1."""
-        return float(self.areas[-1])
+        """Covered mass A_K = K/N < 1."""
+        return self.n_pairs / len(self.z)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.areas)
+        return len(self.z) - 1
 
     @property
     def tile_mass(self) -> float:
-        """Mass dA_n of every pair: A_1 = 1/N exactly."""
-        return float(self.areas[0])
+        """Mass dA_n = 1/N of every pair."""
+        return 1.0 / len(self.z)
 
     def to_csv(self, sink: TextIO) -> None:
         """Dump `n,x_n,s_n,dA_n,A_n`, one row per pair of tiles."""
         sink.write("n,x_n,s_n,dA_n,A_n\n")
         slope_and_mass = f"1.0,{self.tile_mass!r}"
-        pairs = zip(self.coordinates[1:].tolist(), self.areas.tolist())
-        for n, (x, area) in enumerate(pairs, 1):
-            sink.write(f"{n},{x!r},{slope_and_mass},{area!r}\n")
+        for n, x in enumerate(self.coordinates[1:].tolist(), 1):
+            sink.write(f"{n},{x!r},{slope_and_mass},{n / len(self.z)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,21 @@ class Expectation:
 
 
 @functools.lru_cache(maxsize=16)
-def _standard_grid(n_pairs: int):
-    """Grid for N(0, 1) in closed form; shared by every affine image.
+def _standard_grid(n_pairs: int) -> np.ndarray:
+    """Nodes of the grid for N(0, 1) in closed form; shared by every affine image.
 
     Every slope is 1 (see the module docstring), so pair n carries mass 1/N,
     A_n = n/N and z_n = -inverse_cdf((1 - A_n)/2) for n = 1 .. N - 1.
     """
     areas = np.arange(1, n_pairs, dtype=np.float64) / n_pairs
     z = np.concatenate(([0.0], -inverse_cdf_std_array((1.0 - areas) / 2.0)))
-    for a in (z, areas):
-        a.flags.writeable = False
-    return z, areas
+    z.flags.writeable = False
+    return z
 
 
 def build_grid(p: GaussianParams, cfg: TileGridConfig) -> TileGrid:
     """The tile grid for N(mu, sigma^2) with n_pairs - 1 pairs, on the cached standard grid."""
-    return TileGrid(p.mu, p.sigma, *_standard_grid(cfg.n_pairs))
+    return TileGrid(p.mu, p.sigma, _standard_grid(cfg.n_pairs))
 
 
 def _evaluate(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -139,11 +138,6 @@ def _evaluate(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     except TypeError:
         pass
     return np.asarray([f(float(x)) for x in xs], dtype=np.float64)
-
-
-def _first_bad(values: np.ndarray, xs: np.ndarray) -> float:
-    idx = int(np.flatnonzero(~np.isfinite(values))[0])
-    return float(xs[idx])
 
 
 def _exact_parts(w: np.ndarray) -> list[float]:
@@ -185,28 +179,22 @@ def _exact_parts(w: np.ndarray) -> list[float]:
     return parts
 
 
-def _raise_non_finite(
-    fx: np.ndarray, fm: np.ndarray, xs: np.ndarray, mirrored: np.ndarray
-) -> None:
-    """Raise NonFiniteIntegrand at the first bad f(x_n), else the first bad mirror."""
-    if not np.isfinite(fx).all():
-        x_bad = _first_bad(fx, xs)
-        raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
-    if not np.isfinite(fm).all():
-        x_bad = _first_bad(fm, mirrored)
-        if math.isnan(x_bad):
-            # 2*mu - x_n is inf - inf where 2*mu overflows: name the first
-            # finite grid point whose mirror left the float range (x_0 = mu)
-            x_bad = float(xs[np.isfinite(xs) & ~np.isfinite(mirrored)][0])
-            raise NonFiniteIntegrand(
-                f"mirror 2*mu - x_n of grid point x_n={x_bad!r} is not finite", x_bad
-            )
-        raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
+def _raise_non_finite(values: np.ndarray, xs: np.ndarray, grid: TileGrid | None = None) -> None:
+    """Raise NonFiniteIntegrand at the abscissa of the first non-finite value.
 
-
-def _mirror(mu: float, xs: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # nan, inf: caught later
-        return 2.0 * mu - xs
+    Given the grid, a nan abscissa is a mirror 2*mu - x_n lost to inf - inf
+    where 2*mu overflows: the error names the first finite grid point whose
+    mirror left the float range instead (x_0 = mu).
+    """
+    x_bad = float(xs[np.flatnonzero(~np.isfinite(values))[0]])
+    if grid is not None and math.isnan(x_bad):
+        xs = grid.coordinates
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_bad = float(xs[np.isfinite(xs) & ~np.isfinite(2.0 * grid.mu - xs)][0])
+        raise NonFiniteIntegrand(
+            f"mirror 2*mu - x_n of grid point x_n={x_bad!r} is not finite", x_bad
+        )
+    raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
 
 
 def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectation:
@@ -226,23 +214,26 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
     threshold. Adjacent pieces share one coordinate, which is evaluated in
     both; n_evals counts each grid point and its mirror once. The exact
     parts of all pieces are rounded by one fsum, so the value does not
-    depend on the piece size. A non-finite value anywhere names the first
-    bad f(x_n) over the whole grid before any bad mirror.
+    depend on the piece size. A non-finite f(x_n) raises in the piece where
+    it appears; the first bad mirror is held until every f(x_n) is known to
+    be finite, so the first bad f(x_n) of the whole grid is named before it.
     """
     parts = []
+    held = None  # values and abscissae of the first piece with a bad mirror
     for start in range(0, grid.n_pairs, _PIECE):
         with np.errstate(over="ignore"):
             xs = grid.mu + grid.sigma * grid.z[start : start + _PIECE + 1]
-        mirrored = _mirror(grid.mu, xs)
         fx = _evaluate(f, xs)
+        if not np.isfinite(fx).all():
+            _raise_non_finite(fx, xs)
+        if held is not None:
+            continue  # only the f(x_n) of later pieces can still be named first
+        with np.errstate(over="ignore", invalid="ignore"):  # nan, inf: held below
+            mirrored = 2.0 * grid.mu - xs
         fm = _evaluate(f, mirrored)
-        if not (np.isfinite(fx).all() and np.isfinite(fm).all()):
-            # the first bad f(x_n) of the whole grid is named before any bad
-            # mirror, even one in an earlier piece
-            xs_all = grid.coordinates
-            whole = _mirror(grid.mu, xs_all)
-            _raise_non_finite(_evaluate(f, xs_all), _evaluate(f, whole), xs_all, whole)
-            _raise_non_finite(fx, fm, xs, mirrored)  # f changed its values
+        if not np.isfinite(fm).all():
+            held = fm, mirrored
+            continue
         # arithmetic mean over the four symmetric points of each pair of tiles
         with np.errstate(over="ignore"):  # an overflowed sum is redone below
             pair_sums = fx[1:] + fx[:-1] + fm[1:] + fm[:-1]
@@ -254,6 +245,8 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
             corners = (fx[1:], fx[:-1], fm[1:], fm[:-1])
             pair_means[lost] = sum(0.25 * t[lost] for t in corners)
         parts += _exact_parts(pair_means * grid.tile_mass)
+    if held is not None:
+        _raise_non_finite(*held, grid)
     # the exactly rounded sum brings constants back bit-exact after the
     # coverage normalization. The total mass K/N is one product: it rounds
     # the exact value once, as fsum of K copies of 1/N does
@@ -289,8 +282,7 @@ def expectation(
     xs = np.array([x_tail, 2.0 * grid.mu - x_tail])
     fx = _evaluate(f, xs)
     if not np.isfinite(fx).all():
-        x_bad = _first_bad(fx, xs)
-        raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
+        _raise_non_finite(fx, xs)
     # A_K + (1 - A_K) is exactly 1, so the mean over grid and tails is
     # E_grid + (1 - A_K)(E_tail - E_grid); the second term is 0 for constant f
     a, b = float(fx[0]), float(fx[1])
@@ -316,16 +308,12 @@ def mgf_thintile(q: MgfQuery, cfg: TileGridConfig | None = None) -> MgfEstimate:
     theta) = (0, 1, -1e4) exp(theta * e^x) peaks near x = -9, past the last
     pair, and the rule gives 3.0e-61 where M = 1.11538e-15.
     """
-    cfg = cfg or TileGridConfig()
-    grid = build_grid(GaussianParams(q.mu, q.sigma), cfg)
+    grid = build_grid(q, _config(cfg, TileGridConfig))
     theta = q.theta
     if theta == 0.0:
-        return MgfEstimate(
-            1.0,
-            Method.THIN_TILE,
-            {"coverage": grid.coverage, "n_evals": 0.0, "n_pairs": float(grid.n_pairs)},
-        )
-    est = expectation_on_grid(lambda x: np.exp(theta * np.exp(x)), grid)
+        est = Expectation(1.0, grid.coverage, 0)
+    else:
+        est = expectation_on_grid(lambda x: np.exp(theta * np.exp(x)), grid)
     return MgfEstimate(
         value=est.value,
         method=Method.THIN_TILE,

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
+from .gaussian import GaussianParams
 
 
 class Method(str, enum.Enum):
@@ -17,24 +18,20 @@ class Method(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class MgfQuery:
+class MgfQuery(GaussianParams):
     """One MGF problem instance: E[exp(theta * e^x)] with x ~ N(mu, sigma^2).
 
-    theta == 0 is a boundary case every method short-circuits to 1 exactly;
-    it is never fed to log|theta|.
+    The Gaussian law (mu, sigma) is checked by GaussianParams. theta == 0 is
+    a boundary case every method short-circuits to 1 exactly; it is never
+    fed to log|theta|.
     """
 
-    mu: float
-    sigma: float
     theta: float
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        super().__post_init__()
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise DomainError("mu and sigma must be finite")
 
     @property
     def sign_theta(self) -> float:

@@ -45,7 +45,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PathOverflow, _index
+from .errors import DivergenceError, DomainError, PathOverflow, _config, _index
 from .gaussian import RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -73,6 +73,8 @@ class ZeroEntropyConfig:
     def __post_init__(self):
         if _index("steps", self.steps) < 10:
             raise DomainError(f"steps must be >= 10, got {self.steps}")
+        if not isinstance(self.variance_kick, (bool, np.bool_)):
+            raise DomainError(f"variance_kick must be a bool, got {self.variance_kick!r}")
 
 
 @dataclass
@@ -237,7 +239,7 @@ def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEs
     Raises DomainError where m_1 is nan (inf - inf in the drift, e.g. where
     sigma^2 overflows).
     """
-    cfg = cfg or ZeroEntropyConfig()
+    cfg = _config(cfg, ZeroEntropyConfig)
     if q.theta == 0.0:
         return MgfEstimate(1.0, Method.ZERO_ENTROPY, {"steps": 0.0})
     if q.theta < 0.0 and not cfg.variance_kick:

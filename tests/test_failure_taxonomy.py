@@ -77,8 +77,19 @@ Q = MgfQuery(0.0, 1.0, -1.0)
         lambda: simulate_paths(Q, 10, 10, 3),
         lambda: simulate_paths(Q, 10.0, 10, RngSeed(0)),
         lambda: simulate_paths(Q, 10, 10.5, RngSeed(0)),
+        lambda: mgf_thintile(Q, 2000),
+        lambda: mgf_zero_entropy(Q, 200),
+        lambda: mgf_monte_carlo(Q, {"n_samples": 2000}),
+        lambda: mgf_thintile(Q, 0),
+        lambda: mgf_zero_entropy(Q, ""),
+        lambda: mgf_monte_carlo(Q, {}),
+        lambda: mgf_thintile(Q, McConfig()),
+        lambda: ZeroEntropyConfig(variance_kick="no"),
+        lambda: ZeroEntropyConfig(variance_kick=1),
     ],
-    ids=["mc seed", "n_samples", "RngSeed", "n_pairs", "steps", "paths seed", "n_paths", "paths steps"],
+    ids=["mc seed", "n_samples", "RngSeed", "n_pairs", "steps", "paths seed", "n_paths", "paths steps",
+         "tile cfg", "zero cfg", "mc cfg", "falsy tile cfg", "falsy zero cfg", "falsy mc cfg",
+         "other cfg", "variance_kick str", "variance_kick int"],
 )
 def test_wrong_typed_seeds_and_sizes_raise_domain_error(make):
     with pytest.raises(DomainError):
@@ -89,6 +100,7 @@ def test_numpy_integers_are_integers():
     assert McConfig(n_samples=np.int64(1_000), seed=RngSeed(np.uint64(7))).n_samples == 1_000
     assert TileGridConfig(n_pairs=np.int32(2)).n_pairs == 2
     assert ZeroEntropyConfig(steps=np.int16(10)).steps == 10
+    assert ZeroEntropyConfig(variance_kick=np.bool_(True)).variance_kick
 
 
 @pytest.mark.parametrize("mu", [-800.0, 0.0, 800.0])

@@ -59,8 +59,8 @@ def test_affine_equivariance():
     cfg = TileGridConfig(n_pairs=2_000)
     base = build_grid(GaussianParams(0.0, 1.0), cfg)
     mapped = build_grid(GaussianParams(3.0, 2.0), cfg)
-    assert np.array_equal(base.areas, mapped.areas)
-    assert base.tile_mass == mapped.tile_mass
+    assert mapped.z is base.z  # the masses A_n = n/N follow from z alone
+    assert (base.tile_mass, base.coverage) == (mapped.tile_mass, mapped.coverage)
     assert np.allclose(mapped.coordinates, 3.0 + 2.0 * base.coordinates, atol=1e-12)
 
 
@@ -68,9 +68,10 @@ def test_area_accounting():
     grid = build_grid(GaussianParams(0.0, 1.0), TileGridConfig(n_pairs=5_000))
     assert grid.coverage < 1.0
     assert grid.coverage == pytest.approx(grid.n_pairs * grid.tile_mass, abs=1e-13)
-    assert np.all(np.diff(grid.areas) > 0)
-    # dA_n = 2 h^2 / s_n with every slope 1
-    assert np.allclose(np.diff(grid.areas), 1.0 / 5_000, rtol=0, atol=1e-15)
+    # dA_n = 2 h^2 / s_n with every slope 1, so A_n = n/N, read off z alone
+    assert len(grid.z) == 5_000
+    assert grid.tile_mass == 1.0 / 5_000
+    assert grid.coverage == 4_999 / 5_000
     assert grid.n_pairs == 5_000 - 1
 
 
@@ -99,7 +100,7 @@ def test_coordinate_area_consistency():
     for n in [1, 50, 1500, grid.n_pairs]:
         z = (grid.coordinates[n] - 1.0) / 0.5
         recomputed = 1.0 - 2.0 * cdf_std(-z)
-        assert abs(recomputed - grid.areas[n - 1]) <= 1e-10
+        assert abs(recomputed - n / 3_000) <= 1e-10
 
 
 def test_expectation_constant_exact():
@@ -225,11 +226,14 @@ def test_csv_dump_round_trip():
     n, x, s, da, a = lines[1].split(",")
     assert int(n) == 1
     assert float(x) == grid.coordinates[1]
-    assert float(a) == grid.areas[0]
+    assert float(a) == grid.tile_mass
     for row in lines[1:]:
         _, _, s, da, _ = row.split(",")
         assert float(s) == 1.0
         assert float(da) == grid.tile_mass
+    # the A_n column is the closed form n/N, bit for bit
+    column = np.array([float(row.split(",")[4]) for row in lines[1:]])
+    assert np.array_equal(column, np.arange(1, 50) / 50)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,7 +270,7 @@ def test_overflowing_pair_sum_keeps_the_finite_mean():
     # where no sum overflows
     theta = 679.4
     q = MgfQuery(0.0, 0.01, theta)
-    grid = build_grid(GaussianParams(q.mu, q.sigma), TileGridConfig())
+    grid = build_grid(q, TileGridConfig())
     scaled = expectation_on_grid(lambda x: np.exp(theta * np.exp(x)) / 1024.0, grid)
     assert mgf_thintile(q).value == 1024.0 * scaled.value
     # a constant near the float maximum overflows every pair sum and
@@ -347,8 +351,8 @@ def test_a_bad_point_is_named_before_a_bad_mirror_of_an_earlier_piece():
 
 
 def test_an_integrand_finite_on_its_second_call_still_raises():
-    # a stateful f: nan in the first piece, finite when the whole grid is
-    # evaluated again to name the first bad point
+    # a stateful f: nan in the first piece, finite on any later call. The
+    # first piece raises where its nan appears, so later values are not seen
     calls = 0
 
     def f(x):
@@ -360,6 +364,35 @@ def test_an_integrand_finite_on_its_second_call_still_raises():
     with pytest.raises(NonFiniteIntegrand) as exc_info:
         expectation_on_grid(f, grid)
     assert exc_info.value.x == grid.coordinates[0]
+
+
+def test_a_nan_at_the_mode_is_named_after_one_call():
+    # the bad f(x_0) is raised in the piece where it appears: no mirror is
+    # evaluated and the grid is not evaluated a second time
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return np.where(x == 0.3, np.nan, 1.0)
+
+    grid = build_grid(GaussianParams(0.3, 1.0), TileGridConfig())
+    with pytest.raises(NonFiniteIntegrand, match="integrand non-finite") as exc_info:
+        expectation_on_grid(f, grid)
+    assert exc_info.value.x == 0.3
+    assert calls == 1
+
+
+def test_a_lost_mirror_on_many_pieces_names_the_mode():
+    # 2*mu overflows, so every mirror is inf or inf - inf = nan. The first
+    # nan mirror lies in a later piece, but the named point is the first
+    # finite grid point of the whole grid whose mirror is not finite: x_0 = mu
+    q = MgfQuery(1e308, 1e308, -5.9)
+    grid = build_grid(q, TileGridConfig())
+    assert grid.n_pairs > tt._PIECE
+    with pytest.raises(NonFiniteIntegrand, match="mirror 2\\*mu - x_n") as exc_info:
+        mgf_thintile(q)
+    assert exc_info.value.x == 1e308
 
 
 def test_a_warm_call_allocates_no_grid_sized_temporaries():
