@@ -179,20 +179,20 @@ def _exact_parts(w: np.ndarray) -> list[float]:
     return parts
 
 
-def _raise_non_finite(values: np.ndarray, xs: np.ndarray, grid: TileGrid | None = None) -> None:
+def _raise_non_finite(
+    values: np.ndarray, xs: np.ndarray, lost: tuple[str, str, float] | None = None
+) -> None:
     """Raise NonFiniteIntegrand at the abscissa of the first non-finite value.
 
-    Given the grid, a nan abscissa is a mirror 2*mu - x_n lost to inf - inf
-    where 2*mu overflows: the error names the first finite grid point whose
-    mirror left the float range instead (x_0 = mu).
+    A nan abscissa is a mirror 2*mu - x lost to inf - inf where 2*mu
+    overflows; given lost = (kind, symbol, x), the error names that point:
+    the grid's x_0 = mu, or a tail cell's x_tail, which has overflowed.
     """
     x_bad = float(xs[np.flatnonzero(~np.isfinite(values))[0]])
-    if grid is not None and math.isnan(x_bad):
-        xs = grid.coordinates
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_bad = float(xs[np.isfinite(xs) & ~np.isfinite(2.0 * grid.mu - xs)][0])
+    if lost is not None and math.isnan(x_bad):
+        kind, name, x = lost
         raise NonFiniteIntegrand(
-            f"mirror 2*mu - x_n of grid point x_n={x_bad!r} is not finite", x_bad
+            f"mirror 2*mu - {name} of {kind} point {name}={x!r} is not finite", x
         )
     raise NonFiniteIntegrand(f"integrand non-finite at x={x_bad!r}", x_bad)
 
@@ -246,7 +246,7 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
             pair_means[lost] = sum(0.25 * t[lost] for t in corners)
         parts += _exact_parts(pair_means * grid.tile_mass)
     if held is not None:
-        _raise_non_finite(*held, grid)
+        _raise_non_finite(*held, ("grid", "x_n", grid.mu))
     # the exactly rounded sum brings constants back bit-exact after the
     # coverage normalization. The total mass K/N is one product: it rounds
     # the exact value once, as fsum of K copies of 1/N does
@@ -282,7 +282,7 @@ def expectation(
     xs = np.array([x_tail, 2.0 * grid.mu - x_tail])
     fx = _evaluate(f, xs)
     if not np.isfinite(fx).all():
-        _raise_non_finite(fx, xs)
+        _raise_non_finite(fx, xs, ("tail", "x_tail", x_tail))
     # A_K + (1 - A_K) is exactly 1, so the mean over grid and tails is
     # E_grid + (1 - A_K)(E_tail - E_grid); the second term is 0 for constant f
     a, b = float(fx[0]), float(fx[1])

@@ -24,10 +24,10 @@ first order. theta > 0 starts from v_0 = sigma^2, which activates the
 variance dynamics (the nonzero start stands in for the covariance terms the
 single-factor adjustment drops).
 
-One switch departs from that default: variance_kick forces the known initial
-slope v'(0) = sigma^2 on the first step, waking the variance from the v_0 = 0
-fixed point. This is the configuration to use when comparing (m_1, v_1)
-against simulated paths, whose spread is real for every theta.
+One switch departs from that default: variance_kick starts v at 0 for
+either sign of theta, where the simulated paths start, and forces the known
+initial slope v'(0) = sigma^2 on the first step. This is the configuration
+to use when comparing (m_1, v_1) against the paths, whose spread is real.
 
 Every exponent above _OVERFLOW_GUARD counts as a blow-up: the drifts, the
 estimator and a simulated path stop there, well inside the float range.
@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, PathOverflow, _config, _index
 from .gaussian import RngSeed, _usable_cpus
+from .lambertw import _LOG_FLOAT_MAX
 from .types import Method, MgfEstimate, MgfQuery
 
 _OVERFLOW_GUARD = 700.0  # exp(710) overflows a double
@@ -97,53 +98,23 @@ class PathEnsemble:
     n_overflowed: int = 0
 
 
-def _moment_drift(m: float, v: float, base: float, pull: float) -> float:
-    """m' = base + pull * e^(m + v/2), with base = mu + sigma^2/2 and
-    pull = sign(theta) * sigma^2/2."""
-    exponent = m + 0.5 * v
-    if exponent > _OVERFLOW_GUARD:
-        raise OverflowError(
-            f"moment drift exponent {exponent:.3g} exceeds guard {_OVERFLOW_GUARD:.3g}"
-        )
-    return base + pull * math.exp(exponent)
-
-
-def _variance_radicand(
-    t: float, m: float, v: float, s2: float, g: float, sign2: float, sigma3: float
-) -> float:
-    """The expression under v's square root at t > 0 and v >= 0, with
-    s2 = sigma^2, g the adjustment factor, sign2 = 2 * sign(theta) and
-    sigma3 = sigma^3."""
-    if 2.0 * m + v > _OVERFLOW_GUARD or m + 0.5 * v > _OVERFLOW_GUARD:
-        raise OverflowError(
-            f"variance drift exponent exceeds guard {_OVERFLOW_GUARD:.3g}"
-        )
-    radicand = (
-        v * s2 / t
-        + v * s2 * s2 * g * g * math.expm1(v) * math.exp(2.0 * m + v)
-        + sign2 * (sigma3 / math.sqrt(t)) * g * v**1.5 * math.exp(m + 0.5 * v)
-    )
-    if not math.isfinite(radicand):
-        # a term overflowed (and may have met an underflowed factor: inf * 0)
-        raise OverflowError(
-            f"variance radicand {radicand} at t={t:.6g} is not finite"
-        )
-    return radicand
-
-
 def _euler(
     q: MgfQuery, cfg: ZeroEntropyConfig, info: IntegrationInfo
 ) -> Iterator[tuple[float, float, float]]:
     """Euler trajectory of (m, v) over [0, 1] as (t, m, v) floats.
+
+    The one evaluation of the module docstring's drifts, v' taken at
+    t = max(i, 1) * dt and e^(m+v/2) computed once per step for both. With
+    variance_kick, v starts at 0 for either sign of theta.
 
     The radicand is negative only by rounding. Write X = sigma sqrt(v/t) and
     Y = sigma^2 g e^(m+v/2) sqrt(v (e^v - 1)); the radicand is X^2 + Y^2 plus
     a cross term of size 2 sigma^3 g v^1.5 e^(m+v/2) / sqrt(t), which is at
     most 2XY because e^v - 1 >= v. So the radicand is at least (X - Y)^2.
     A rounded negative radicand clamps that step's v' to zero and is counted
-    in info.clamped_steps.
-    sigma^3 beyond the float range is inf, so the radicand is not finite and
-    the step that first needs it diverges.
+    in info.clamped_steps. A step diverges where m + v/2 or 2m + v passes
+    _OVERFLOW_GUARD, where e^v - 1 overflows, or where the radicand is not
+    finite, as it is once sigma^3 has left the float range.
     """
     if q.theta == 0.0:
         raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
@@ -157,24 +128,48 @@ def _euler(
     except OverflowError:
         sigma3 = math.inf
     m = math.log(abs(q.theta))
-    v = s2 if q.theta > 0.0 else 0.0
+    v = s2 if q.theta > 0.0 and not cfg.variance_kick else 0.0
     yield 0.0, m, v
     for i in range(cfg.steps):
-        try:
-            dm = _moment_drift(m, v, base, pull)
-            if cfg.variance_kick and i == 0:
-                dv = s2
-            elif v == 0.0:
-                dv = 0.0  # exact fixed point; also keeps t = 0 unevaluated
+        exponent = m + 0.5 * v
+        if exponent > _OVERFLOW_GUARD:
+            raise DivergenceError(
+                f"diverged at step {i}: moment drift exponent {exponent:.3g} "
+                f"exceeds guard {_OVERFLOW_GUARD:.3g}",
+                i,
+            )
+        e_half = math.exp(exponent)
+        dm = base + pull * e_half
+        if cfg.variance_kick and i == 0:
+            dv = s2
+        elif v == 0.0:
+            dv = 0.0  # exact fixed point; also keeps t = 0 unevaluated
+        else:
+            # the exponents of e^(2m+v) and of e^v - 1, where math.expm1 would overflow
+            if 2.0 * m + v > _OVERFLOW_GUARD or _LOG_FLOAT_MAX < v < math.inf:
+                raise DivergenceError(
+                    f"diverged at step {i}: variance drift exponent exceeds guard "
+                    f"{_OVERFLOW_GUARD:.3g}",
+                    i,
+                )
+            t = max(i, 1) * dt
+            radicand = (
+                v * s2 / t
+                + v * s2 * s2 * g * g * math.expm1(v) * math.exp(2.0 * m + v)
+                + sign2 * (sigma3 / math.sqrt(t)) * g * v**1.5 * e_half
+            )
+            if not math.isfinite(radicand):
+                # a term overflowed (and may have met an underflowed factor: inf * 0)
+                raise DivergenceError(
+                    f"diverged at step {i}: variance radicand {radicand} at t={t:.6g} "
+                    "is not finite",
+                    i,
+                )
+            if radicand < 0.0:
+                dv = 0.0
+                info.clamped_steps += 1
             else:
-                radicand = _variance_radicand(max(i, 1) * dt, m, v, s2, g, sign2, sigma3)
-                if radicand < 0.0:
-                    dv = 0.0
-                    info.clamped_steps += 1
-                else:
-                    dv = math.sqrt(radicand)
-        except OverflowError as exc:
-            raise DivergenceError(f"diverged at step {i}: {exc}", i) from exc
+                dv = math.sqrt(radicand)
         m += dm * dt
         v += dv * dt
         yield (i + 1) * dt, m, v
@@ -361,8 +356,11 @@ def ensemble_moments(values: np.ndarray) -> dict[str, float]:
     The higher moments are taken of the standardized deviations, so a spread
     whose cube underflows (or whose fourth power overflows) stays finite.
     Finite values whose mean or variance leaves the float range raise
-    PathOverflow.
+    PathOverflow; a sample that is empty or not 1-D raises DomainError.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise DomainError(f"ensemble_moments needs a non-empty 1-D sample, not {values.shape}")
     n = len(values)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(values))

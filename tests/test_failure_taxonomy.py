@@ -16,6 +16,7 @@ from logmgf import (
     RngSeed,
     TileGridConfig,
     ZeroEntropyConfig,
+    ensemble_moments,
     mgf_asmussen,
     mgf_monte_carlo,
     mgf_thintile,
@@ -52,6 +53,7 @@ METHODS = {
 @example(mu=0.0, sigma=1e200, theta=-1.0)  # zero_entropy: sigma^2 overflows, nan m_1
 @example(mu=-138.0, sigma=14.0, theta=1.5035546590265694e-298)  # zero_entropy: nan v
 @example(mu=726.0, sigma=0.25, theta=1.1125369292536007e-308)  # zero_entropy: e^m_1
+@example(mu=0.0, sigma=28.28, theta=1e-30)  # zero_entropy: e^v - 1 in the radicand
 # the closed form for theta < 0: e^{-a} overflows (the value is 1), and a = 0
 @example(mu=-800.0, sigma=1.0, theta=-2.0)
 @example(mu=-0.5, sigma=1.0, theta=-2.0)
@@ -118,3 +120,18 @@ def test_every_exported_name_resolves_and_errors_are_typed():
     assert set(logmgf.__all__) <= namespace.keys()
     errors = [v for v in namespace.values() if isinstance(v, type) and issubclass(v, Exception)]
     assert errors and all(issubclass(e, LogMgfError) for e in errors)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([]), [], 3.0, [[1.0, 2.0], [3.0, 5.0]]],
+    ids=["empty array", "empty list", "scalar", "2-D"],
+)
+def test_ensemble_moments_of_an_empty_or_shaped_sample_raise_domain_error(values):
+    with pytest.raises(DomainError, match="non-empty 1-D sample"):
+        ensemble_moments(values)
+
+
+def test_ensemble_moments_take_a_plain_list():
+    sample = [1.0, 2.0, 4.0]
+    assert ensemble_moments(sample) == ensemble_moments(np.array(sample))

@@ -90,3 +90,24 @@ def test_the_check_finds_an_unreferenced_private_name():
     assert _unreferenced_private_names(sources) == [
         "a.py: _DEAD (line 2)", "a.py: _DEAD_TOO (line 3)", "a.py: _Gone (line 8)",
     ]
+
+
+def test_the_benchmark_tracer_binds_names_the_package_keeps():
+    # perfbench/tracing.py wraps these names in traced runs and skips a name it
+    # cannot find, which would read as a zero per-layer metric, not an error
+    import importlib
+    import importlib.util
+
+    path = _SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # the standard library only
+    missing = [
+        f"{module}.{name}"
+        for module, name in tracing._WRAPPED
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
+    from logmgf.gaussian import RngSeed
+
+    assert callable(getattr(RngSeed, "substream", None))

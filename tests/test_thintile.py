@@ -395,6 +395,16 @@ def test_a_lost_mirror_on_many_pieces_names_the_mode():
     assert exc_info.value.x == 1e308
 
 
+def test_a_lost_tail_mirror_names_the_tail_point():
+    # every grid point and f at every grid mirror stay finite, but 2*mu and
+    # the tail point x_tail overflow, so the tail's mirror is inf - inf
+    p = GaussianParams(1e308, 1.8259346335490713e307)
+    with pytest.raises(NonFiniteIntegrand) as exc_info:
+        expectation(lambda x: np.exp(-np.exp(x)), p, TileGridConfig())
+    assert str(exc_info.value) == "mirror 2*mu - x_tail of tail point x_tail=inf is not finite"
+    assert exc_info.value.x == math.inf
+
+
 def test_a_warm_call_allocates_no_grid_sized_temporaries():
     q = MgfQuery(0.0, 1.0, -2.0)
     mgf_thintile(q)  # caches the standard grid

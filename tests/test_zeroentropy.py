@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -35,61 +36,78 @@ def test_config_validation():
         ZeroEntropyConfig(steps=5)
 
 
-def _moment_drift(s, q):
-    """ze._moment_drift at state s with the constants _euler passes for q."""
+def _reference_drift_m(s, q):
+    """m' at state s; OverflowError past the guard."""
+    exponent = s.m + 0.5 * s.v
+    if exponent > 700.0:
+        raise OverflowError(f"moment drift exponent {exponent:.3g}")
     s2 = q.sigma * q.sigma
-    return ze._moment_drift(s.m, s.v, q.mu + 0.5 * s2, q.sign_theta * 0.5 * s2)
+    return q.mu + 0.5 * s2 + q.sign_theta * 0.5 * s2 * math.exp(exponent)
 
 
-def _variance_radicand(s, q):
-    """ze._variance_radicand at state s with the constants _euler passes for q."""
-    return ze._variance_radicand(
-        s.t,
-        s.m,
-        s.v,
-        q.sigma * q.sigma,
-        math.sqrt(1.0 + 0.5 * q.sigma * q.sigma),
-        q.sign_theta * 2.0,
-        q.sigma**3,
+def _reference_radicand(s, q):
+    """The expression under v's square root at state s; OverflowError where
+    a term leaves the float range."""
+    if 2.0 * s.m + s.v > 700.0 or s.m + 0.5 * s.v > 700.0:
+        raise OverflowError("variance drift exponent")
+    g = math.sqrt(1.0 + 0.5 * q.sigma * q.sigma)
+    s2 = q.sigma * q.sigma
+    radicand = (
+        s.v * s2 / s.t
+        + s.v * s2 * s2 * g * g * math.expm1(s.v) * math.exp(2.0 * s.m + s.v)
+        + q.sign_theta
+        * 2.0
+        * (q.sigma**3 / math.sqrt(s.t))
+        * g
+        * s.v**1.5
+        * math.exp(s.m + 0.5 * s.v)
     )
+    if not math.isfinite(radicand):
+        raise OverflowError("variance radicand")
+    return radicand
+
+
+def _reference_drift_v(s, q):
+    """v' at state s, or None where the radicand is negative."""
+    radicand = _reference_radicand(s, q)
+    return None if radicand < 0.0 else math.sqrt(radicand)
 
 
 def test_drift_m_direct_substitution():
     # every term cancels at the fixed point of the theta=-1 start
-    assert _moment_drift(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, -1.0)) == 0.0
-    got = _moment_drift(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, 0.5))
+    assert _reference_drift_m(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, -1.0)) == 0.0
+    got = _reference_drift_m(OdeState(0.0, 0.0, 0.0), MgfQuery(0.0, 0.1, 0.5))
     assert got == pytest.approx(0.01, rel=1e-15)
 
 
 def test_drift_m_frozen_oracle():
     # mpmath 40-digit evaluation of the drift at (m=-1, v=0.04, sigma=0.0625)
-    got = _moment_drift(OdeState(0.2, -1.0, 0.04), MgfQuery(0.0, 0.0625, -2.0))
+    got = _reference_drift_m(OdeState(0.2, -1.0, 0.04), MgfQuery(0.0, 0.0625, -2.0))
     assert got == pytest.approx(0.0012200955100558603, rel=1e-14)
 
 
 def test_drift_m_overflow_guard():
     with pytest.raises(OverflowError):
-        _moment_drift(OdeState(0.5, 800.0, 0.0), MgfQuery(0.0, 1.0, 2.0))
+        _reference_drift_m(OdeState(0.5, 800.0, 0.0), MgfQuery(0.0, 1.0, 2.0))
 
 
 def test_drift_v_small_time_limit():
     # with v = sigma^2 * t the radicand tends to sigma^4
     q = MgfQuery(0.0, 0.3, -1.0)
     t = 1e-10
-    got = math.sqrt(_variance_radicand(OdeState(t, 0.0, 0.09 * t), q))
+    got = _reference_drift_v(OdeState(t, 0.0, 0.09 * t), q)
     assert got == pytest.approx(0.09, rel=1e-4)
 
 
 def test_drift_v_zero_variance_is_fixed_point():
     for theta in (-2.0, 0.7):
-        got = _variance_radicand(OdeState(1.0, 0.3, 0.0), MgfQuery(0.0, 0.5, theta))
+        got = _reference_radicand(OdeState(1.0, 0.3, 0.0), MgfQuery(0.0, 0.5, theta))
         assert got == 0.0
 
 
 def test_drift_v_frozen_oracle():
     # mpmath 40-digit evaluation at (t=0.5, m=0, v=0.005, sigma=0.1, theta=-1)
-    radicand = _variance_radicand(OdeState(0.5, 0.0, 0.005), MgfQuery(0.0, 0.1, -1.0))
-    got = math.sqrt(radicand)
+    got = _reference_drift_v(OdeState(0.5, 0.0, 0.005), MgfQuery(0.0, 0.1, -1.0))
     assert got == pytest.approx(0.009949750004739704, rel=1e-13)
 
 
@@ -105,7 +123,7 @@ def test_drift_v_radicand_never_negative(t, m, v, sigma, theta):
     # the radicand is (a-b)^2 + b^2*((e^v-1)/v - 1) >= 0, so clamping can only
     # ever fire on floating-point noise at the tangency
     try:
-        radicand = _variance_radicand(OdeState(t, m, v), MgfQuery(0.0, sigma, theta))
+        radicand = _reference_radicand(OdeState(t, m, v), MgfQuery(0.0, sigma, theta))
     except OverflowError:
         return
     if radicand < 0.0:
@@ -115,16 +133,36 @@ def test_drift_v_radicand_never_negative(t, m, v, sigma, theta):
 def test_integrator_clamps_and_counts(monkeypatch):
     calls = {"n": 0}
 
-    def negative(t, m, v, *constants):
+    def negative_expm1(x):
         calls["n"] += 1
-        return -1.0
+        return -1e300  # drives the radicand, still finite, below zero
 
-    monkeypatch.setattr(ze, "_variance_radicand", negative)
+    # math as zeroentropy sees it, with e^v - 1 replaced
+    zeroentropy_math = types.SimpleNamespace(**dict(vars(math), expm1=negative_expm1))
+    monkeypatch.setattr(ze, "math", zeroentropy_math)
     q = MgfQuery(0.0, 0.1, 1.0)  # positive theta so v_0 > 0 engages v'
     state, info = integrate_with_info(q, ZeroEntropyConfig(steps=100))
     assert calls["n"] == 100
     assert info.clamped_steps == 100
     assert state.v == 0.1 * 0.1  # clamped flat at v_0
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, theta, kick, step, message",
+    [
+        (0.0, 1.0, 5.0, False, 73, "moment drift exponent 8.39e+44 exceeds guard 700"),
+        (0.0, 0.1, 5e173, False, 0, "variance drift exponent exceeds guard 700"),
+        # e^v - 1 overflows while 2m + v stays below the guard
+        (0.0, 28.28, 1e-30, False, 0, "variance drift exponent exceeds guard 700"),
+        (0.0, 1e200, -1.0, True, 1, "variance radicand nan at t=0.0005 is not finite"),
+    ],
+    ids=["moment exponent", "2m + v", "e^v - 1", "radicand"],
+)
+def test_each_guard_raises_divergence_with_its_step(mu, sigma, theta, kick, step, message):
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate(MgfQuery(mu, sigma, theta), ZeroEntropyConfig(variance_kick=kick))
+    assert str(exc_info.value) == f"diverged at step {step}: {message}"
+    assert exc_info.value.step == step
 
 
 def test_first_euler_step_forced():
@@ -253,40 +291,12 @@ def test_euler_converges_to_closed_form_at_first_order(mu, sigma, theta):
         assert 0.45 <= fine / coarse <= 0.55
 
 
-def _reference_drift_m(s, q):
-    exponent = s.m + 0.5 * s.v
-    if exponent > 700.0:
-        raise OverflowError(f"moment drift exponent {exponent:.3g}")
-    s2 = q.sigma * q.sigma
-    return q.mu + 0.5 * s2 + q.sign_theta * 0.5 * s2 * math.exp(exponent)
-
-
-def _reference_drift_v(s, q):
-    if 2.0 * s.m + s.v > 700.0 or s.m + 0.5 * s.v > 700.0:
-        raise OverflowError("variance drift exponent")
-    g = math.sqrt(1.0 + 0.5 * q.sigma * q.sigma)
-    s2 = q.sigma * q.sigma
-    radicand = (
-        s.v * s2 / s.t
-        + s.v * s2 * s2 * g * g * math.expm1(s.v) * math.exp(2.0 * s.m + s.v)
-        + q.sign_theta
-        * 2.0
-        * (q.sigma**3 / math.sqrt(s.t))
-        * g
-        * s.v**1.5
-        * math.exp(s.m + 0.5 * s.v)
-    )
-    if not math.isfinite(radicand):
-        raise OverflowError("variance radicand")
-    return None if radicand < 0.0 else math.sqrt(radicand)
-
-
 def _reference_states(q, cfg, clamps):
     """The Euler loop as it was with one OdeState per drift call; clamped
     steps are appended to `clamps`."""
     dt = 1.0 / cfg.steps
     m = math.log(abs(q.theta))
-    v = q.sigma * q.sigma if q.theta > 0.0 else 0.0
+    v = q.sigma * q.sigma if q.theta > 0.0 and not cfg.variance_kick else 0.0
     yield OdeState(0.0, m, v)
     for i in range(cfg.steps):
         try:
@@ -349,6 +359,8 @@ def _assert_euler_bit_identical(q, cfg):
     [(mu, s, t, False) for mu, s, t in TABLE1_SETS]
     + [(mu, s, t, True) for mu, s, t in TABLE1_SETS + TABLE2_SETS + TABLE3_SETS]
     + [(0.0, 1.0, 5.0, False)]  # diverges
+    # 2m + v passes the guard; e^v - 1 overflows below it
+    + [(0.0, 0.1, 5e173, False), (0.0, 28.28, 1e-30, False)]
     # sigma^3 overflows: the step that first needs it diverges
     + [(0.0, 1e200, 1.0, False), (0.0, 1e200, -1.0, True), (1e308, 1e308, 1e308, False)],
 )
@@ -401,6 +413,22 @@ def test_paths_match_ode_moments():
     assert abs(mom["variance"] - state.v) <= 4.0 * se_var
     # the estimator built from the empirical mean lands on the published row
     assert math.exp(-math.exp(mom["mean"])) == pytest.approx(0.367879, abs=1e-3)
+
+
+@pytest.mark.parametrize("mu, sigma, theta", TABLE1_SETS)
+def test_kicked_ode_matches_the_paths_at_positive_theta(mu, sigma, theta):
+    # criterion 7's statistic on table 1: with the kick the ODE starts at
+    # v_0 = 0, where the paths start, for either sign of theta
+    q = MgfQuery(mu, sigma, theta)
+    steps = 400
+    ens = simulate_paths(q, 20_000, steps, RngSeed(42))
+    mom = ensemble_moments(ens.terminal_values)
+    state = integrate(q, ZeroEntropyConfig(steps=steps, variance_kick=True))
+    n = ens.n_paths
+    se_mean = math.sqrt(mom["variance"] / n)
+    se_var = mom["variance"] * math.sqrt(2.0 / (n - 1))
+    assert abs(mom["mean"] - state.m) <= 4.0 * se_mean
+    assert abs(mom["variance"] - state.v) <= 4.0 * se_var
 
 
 def _unthreaded_simulate(q, n_paths, steps, seed, overflow_guard=700.0):
