@@ -153,8 +153,8 @@ def mgf_asmussen(q: MgfQuery, tile_config: object = None) -> MgfEstimate:
         )
     lw = lambert_w0(a)
     w = lw.w
-    if 1.0 + w <= 0.0:
-        raise DomainError(f"1 + W = {1.0 + w!r} is not positive")  # unreachable on W0
+    if 1.0 + w <= 0.0:  # a = -1/e: W = -1, and 1/sqrt(1 + W) is infinite
+        raise DomainError(f"1 + W = {1.0 + w!r} is not positive")
     exponent = -(w * w + 2.0 * w) / (2.0 * s2)
     # the cap keeps math.exp from raising; dividing by sqrt(1 + W) < 1 can
     # still overflow, so both cases are caught by the check that follows

@@ -356,11 +356,17 @@ def ensemble_moments(values: np.ndarray) -> dict[str, float]:
     The higher moments are taken of the standardized deviations, so a spread
     whose cube underflows (or whose fourth power overflows) stays finite.
     Finite values whose mean or variance leaves the float range raise
-    PathOverflow; a sample that is empty or not 1-D raises DomainError.
+    PathOverflow; a sample that is not numeric, empty, not 1-D or not finite
+    raises DomainError.
     """
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"ensemble_moments needs a numeric sample: {exc}") from None
     if values.ndim != 1 or values.size == 0:
         raise DomainError(f"ensemble_moments needs a non-empty 1-D sample, not {values.shape}")
+    if not np.isfinite(values).all():
+        raise DomainError("ensemble_moments needs finite values; the sample holds nan or inf")
     n = len(values)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(values))

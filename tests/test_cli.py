@@ -318,7 +318,7 @@ _ARGV = st.one_of(
 @example(argv=["compute", "--mu=1.1", "--sigma=1e308", "--theta=1e308",
                "--n-pairs=524", "--methods=tile"])  # grid coordinates overflow
 @example(argv=["compute", "--mu=1e308", "--sigma=1e308", "--theta=-5.9",
-               "--n-pairs=310", "--methods=tile"])  # mirrored coordinates: inf - inf
+               "--n-pairs=310", "--methods=tile"])  # 2*mu overflows; the mirrors do not
 @example(argv=["compute", "--mu=72", "--sigma=1e-250", "--theta=-1",
                "--methods=laplace"])  # laplace_w: sigma^2 underflows to 0
 @example(argv=["compute", "--mu=1e+308", "--sigma=1e+308", "--theta=1e+308",
@@ -334,16 +334,16 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
     assert "Traceback" not in err.getvalue()
 
 
-def test_lost_mirror_names_a_finite_grid_point(capsys):
-    # 2*mu overflows, so the mirror 2*mu - x_n of an overflowed x_n is
-    # inf - inf; the error names the grid point x_0 = mu instead of nan
+def test_a_mode_whose_double_overflows_gives_a_finite_tile_value(capsys):
+    # 2*mu overflows, but every mirror mu - sigma*z_n is a real number or
+    # -inf, so the rule gives Phi(-1), as monte_carlo does
     code, out = run_cli(
         capsys, "compute", "--mu=1e308", "--sigma=1e308", "--theta=-5.9",
-        "--n-pairs=310", "--methods=tile", "--format=json",
+        "--methods=tile", "--format=json",
     )
-    assert code == 1
+    assert code == 0
     (row,) = json.loads(out)["results"]
-    assert row["error"] == "mirror 2*mu - x_n of grid point x_n=1e+308 is not finite"
+    assert abs(row["value"] - 0.158655) < 1e-4
 
 
 def test_tile_mean_of_finite_values_is_finite(capsys):
@@ -361,7 +361,8 @@ def test_tile_mean_of_finite_values_is_finite(capsys):
 # Output captured before the CLI's report and method dispatch were merged
 # into one dict and one table; every byte but the timings must stay. The
 # laplace_w digits in compute-laplace/json and table-2/json are those of the
-# trapezoid-rule residual factor.
+# trapezoid-rule residual factor. The paths cases pin the third subcommand,
+# which takes no --mc-samples.
 _GOLDEN = Path(__file__).with_name("cli_golden.json")
 _GOLDEN_ARGV = {
     "compute-ok": ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "0.5"],
@@ -369,6 +370,8 @@ _GOLDEN_ARGV = {
     "compute-laplace": ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1",
                         "--methods", "laplace"],
     "table-2": ["table", "--id", "2"],
+    "paths": ["paths", "--mu", "0", "--sigma", "0.0625", "--theta", "-1",
+              "--n", "2000", "--steps", "100", "--seed", "7"],
 }
 
 
@@ -382,7 +385,9 @@ def _mask_timings(out):
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("case", list(_GOLDEN_ARGV))
 def test_output_matches_the_golden_bytes(capsys, case, fmt):
-    code = main([*_GOLDEN_ARGV[case], "--mc-samples", "20000", "--format", fmt])
+    argv = _GOLDEN_ARGV[case]
+    engine = [] if argv[0] == "paths" else ["--mc-samples", "20000"]
+    code = main([*argv, *engine, "--format", fmt])
     captured = capsys.readouterr()
     golden = json.loads(_GOLDEN.read_text())[f"{case}/{fmt}"]
     assert captured.err == ""

@@ -132,6 +132,22 @@ def test_ensemble_moments_of_an_empty_or_shaped_sample_raise_domain_error(values
         ensemble_moments(values)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [["a"], [[1.0], [1.0, 2.0]], object()],
+    ids=["string", "ragged", "object"],
+)
+def test_ensemble_moments_of_a_non_numeric_sample_raise_domain_error(values):
+    with pytest.raises(DomainError, match="numeric sample"):
+        ensemble_moments(values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ensemble_moments_of_a_non_finite_sample_raise_domain_error(bad):
+    with pytest.raises(DomainError, match="holds nan or inf"):
+        ensemble_moments([1.0, bad, 2.0])
+
+
 def test_ensemble_moments_take_a_plain_list():
     sample = [1.0, 2.0, 4.0]
     assert ensemble_moments(sample) == ensemble_moments(np.array(sample))

@@ -96,6 +96,9 @@ def test_mgf_positive_theta_domain():
         mgf_asmussen(MgfQuery(0.0, 0.1, 40.0))
     # 0.05 <= 1/e stays inside
     assert mgf_asmussen(MgfQuery(0.0, 0.1, 5.0)).value > 0.0
+    # exactly -1/e is the branch point W = -1, where 1/sqrt(1 + W) is infinite
+    with pytest.raises(DomainError, match="1 \\+ W = 0.0 is not positive"):
+        mgf_asmussen(MgfQuery(0.0, 1.0, math.exp(-1.0)))
 
 
 def test_mgf_published_rows():

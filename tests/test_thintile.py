@@ -289,10 +289,9 @@ def test_overflowing_pair_sum_keeps_the_finite_mean():
 
 def reference_on_grid(f, grid):
     """The truncated rule in one pass over the whole grid, summed by math.fsum."""
-    xs = grid.coordinates
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for points in (xs, 2.0 * grid.mu - xs):
+        for points in (grid.coordinates, grid.mu - grid.sigma * grid.z):
             try:
                 values.append(np.asarray(f(points), dtype=np.float64))
             except TypeError:
@@ -383,26 +382,40 @@ def test_a_nan_at_the_mode_is_named_after_one_call():
     assert calls == 1
 
 
-def test_a_lost_mirror_on_many_pieces_names_the_mode():
-    # 2*mu overflows, so every mirror is inf or inf - inf = nan. The first
-    # nan mirror lies in a later piece, but the named point is the first
-    # finite grid point of the whole grid whose mirror is not finite: x_0 = mu
+def test_mirrors_come_from_the_standard_nodes():
+    # f receives mu - sigma*z_n itself, not 2*mu - x_n, which rounds twice
+    p = GaussianParams(0.3, 0.7)
+    grid = build_grid(p, TileGridConfig(n_pairs=1_000))
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.ones_like(x)
+
+    expectation_on_grid(f, grid)
+    xs, mirrored = seen
+    assert np.array_equal(mirrored, 0.3 - 0.7 * grid.z)
+    assert not np.array_equal(mirrored, 2.0 * 0.3 - xs)
+
+
+def test_a_mode_whose_double_overflows_gives_phi_of_minus_one():
+    # 2*mu overflows and the outer x_n are inf. Past z = 1 the mirrors lie
+    # far below 0, where exp(theta e^x) is 1; elsewhere it is 0. So the rule
+    # gives half the mass beyond |z| = 1, Phi(-1)
     q = MgfQuery(1e308, 1e308, -5.9)
-    grid = build_grid(q, TileGridConfig())
-    assert grid.n_pairs > tt._PIECE
-    with pytest.raises(NonFiniteIntegrand, match="mirror 2\\*mu - x_n") as exc_info:
-        mgf_thintile(q)
-    assert exc_info.value.x == 1e308
+    assert build_grid(q, TileGridConfig()).n_pairs > tt._PIECE
+    assert mgf_thintile(q).value == pytest.approx(cdf_std(-1.0), abs=1e-4)
 
 
-def test_a_lost_tail_mirror_names_the_tail_point():
-    # every grid point and f at every grid mirror stay finite, but 2*mu and
-    # the tail point x_tail overflow, so the tail's mirror is inf - inf
+def test_tail_cells_are_finite_where_the_tail_point_overflows():
+    # every grid point stays finite, but 2*mu and the tail point overflow
     p = GaussianParams(1e308, 1.8259346335490713e307)
-    with pytest.raises(NonFiniteIntegrand) as exc_info:
-        expectation(lambda x: np.exp(-np.exp(x)), p, TileGridConfig())
-    assert str(exc_info.value) == "mirror 2*mu - x_tail of tail point x_tail=inf is not finite"
-    assert exc_info.value.x == math.inf
+    grid = build_grid(p, TileGridConfig())
+    tail_z = 2 * len(grid.z) * pdf(float(grid.z[-1]), GaussianParams(0.0, 1.0))
+    assert math.isfinite(grid.coordinates[-1])
+    assert math.isinf(p.mu + p.sigma * tail_z)
+    est = expectation(lambda x: np.exp(-np.exp(x)), p, TileGridConfig())
+    assert math.isfinite(est.value)
 
 
 def test_a_warm_call_allocates_no_grid_sized_temporaries():
