@@ -53,6 +53,12 @@ def _index(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _instance(name: str, value, cls) -> None:
+    """DomainError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _config(cfg, cls):
     """cfg, or cls() for None; DomainError for a config of any other type."""
     if cfg is None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _instance
 from .types import Method, MgfEstimate, MgfQuery
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, domain edge of the principal branch
@@ -134,6 +134,7 @@ def mgf_asmussen(q: MgfQuery, tile_config: object = None) -> MgfEstimate:
     leaves the float range, and where the residual factor is not finite.
     `tile_config` is ignored; it is accepted for callers that still pass it.
     """
+    _instance("q", q, MgfQuery)
     if q.theta == 0.0:
         return MgfEstimate(
             1.0,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, _config, _index
+from .errors import DivergenceError, DomainError, _config, _index, _instance
 from .gaussian import RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -201,6 +201,7 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
     float range aborts with DivergenceError (an OverflowError) carrying the
     block index, rather than silently truncating.
     """
+    _instance("q", q, MgfQuery)
     cfg = _config(cfg, McConfig)
     n = cfg.n_samples
     if q.theta == 0.0:

@@ -35,7 +35,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteIntegrand, _config, _index
+from .errors import DomainError, NonFiniteIntegrand, _config, _index, _instance
 from .gaussian import GaussianParams, inverse_cdf_std_array, pdf
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -121,6 +121,7 @@ def _standard_grid(n_pairs: int) -> np.ndarray:
 
 def build_grid(p: GaussianParams, cfg: TileGridConfig) -> TileGrid:
     """The tile grid for N(mu, sigma^2) with n_pairs - 1 pairs, on the cached standard grid."""
+    _instance("p", p, GaussianParams)
     return TileGrid(p.mu, p.sigma, _standard_grid(cfg.n_pairs))
 
 
@@ -296,6 +297,7 @@ def mgf_thintile(q: MgfQuery, cfg: TileGridConfig | None = None) -> MgfEstimate:
     theta) = (0, 1, -1e4) exp(theta * e^x) peaks near x = -9, past the last
     pair, and the rule gives 3.0e-61 where M = 1.11538e-15.
     """
+    _instance("q", q, MgfQuery)
     grid = build_grid(q, _config(cfg, TileGridConfig))
     theta = q.theta
     if theta == 0.0:

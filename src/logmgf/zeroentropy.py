@@ -45,16 +45,15 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PathOverflow, _config, _index
+from .errors import DivergenceError, DomainError, PathOverflow, _config, _index, _instance
 from .gaussian import RngSeed, _usable_cpus
 from .lambertw import _LOG_FLOAT_MAX
 from .types import Method, MgfEstimate, MgfQuery
 
 _OVERFLOW_GUARD = 700.0  # exp(710) overflows a double
-_PATH_BLOCK = 2048  # paths stepped together, one ufunc call per step operation
-# float64 shocks held at once by all path workers together: 32.8 MB, the size
-# of one whole 2048-path x 2000-step shock matrix
-_SHOCK_FLOATS = 2048 * 2000
+_PATH_BLOCK = 1024  # paths stepped together, one ufunc call per step operation
+# float64 shocks held at once: 8.2 MB, one 1000-step chunk of a whole block
+_SHOCK_FLOATS = 1024 * 1000
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,7 @@ def _euler(
     _OVERFLOW_GUARD, where e^v - 1 overflows, or where the radicand is not
     finite, as it is once sigma^3 has left the float range.
     """
+    _instance("q", q, MgfQuery)
     if q.theta == 0.0:
         raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
     dt = 1.0 / cfg.steps
@@ -234,6 +234,7 @@ def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEs
     Raises DomainError where m_1 is nan (inf - inf in the drift, e.g. where
     sigma^2 overflows).
     """
+    _instance("q", q, MgfQuery)
     cfg = _config(cfg, ZeroEntropyConfig)
     if q.theta == 0.0:
         return MgfEstimate(1.0, Method.ZERO_ENTROPY, {"steps": 0.0})
@@ -278,13 +279,14 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
 
     Path p draws its shocks from the sub-stream keyed by (seed, p), so the
     ensemble is identical however the paths are batched or ordered. Blocks of
-    _PATH_BLOCK paths are dealt round-robin to one thread per usable CPU
-    (numpy releases the GIL while it draws normals and runs ufunc loops).
-    Each thread draws its block's shocks a chunk of steps at a time into its
-    one buffer; the chunk is sized so that all buffers together hold at most
-    _SHOCK_FLOATS doubles. Exploding paths (positive theta) are excluded and
-    counted; if every path explodes, PathOverflow is raised.
+    _PATH_BLOCK paths are stepped a chunk of steps at a time, with shocks in
+    one buffer of at most _SHOCK_FLOATS doubles. One thread per usable CPU
+    draws a contiguous share of the block's rows (numpy releases the GIL while
+    it draws); the caller alone steps, since threads stepping at once pass the
+    GIL to each other on every ufunc call. Exploding paths (positive theta)
+    are excluded and counted; if every path explodes, PathOverflow is raised.
     """
+    _instance("q", q, MgfQuery)
     if q.theta == 0.0:
         raise DomainError("theta = 0 has no driving process; MGF is 1 exactly")
     if not isinstance(seed, RngSeed):
@@ -301,44 +303,45 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     sign = q.sign_theta
     pull = sign * s2h
     terminal = np.empty(n_paths)
-    starts = range(0, n_paths, _PATH_BLOCK)
-    workers = min(_usable_cpus(), len(starts))
     width = min(_PATH_BLOCK, n_paths)
-    chunk = max(1, min(steps, _SHOCK_FLOATS // (workers * width)))
+    chunk = min(steps, _SHOCK_FLOATS // width)
+    workers = min(_usable_cpus(), width)
     # allocated here, not in the workers: a buffer freed in a worker thread
     # stays in that thread's malloc arena, so repeated calls would pile them up
-    buffers = [np.empty((width, chunk)) for _ in range(workers)]
+    buffer = np.empty((width, chunk))
 
-    def step_blocks(worker: int) -> None:
-        buffer = buffers[worker]
+    def draw(worker: int) -> None:
+        """One contiguous share of the current block's rows fills its part of the chunk."""
+        share = slice(len(streams) * worker // workers, len(streams) * (worker + 1) // workers)
+        rows = shocks[share]
+        for row, stream in zip(rows, streams[share]):
+            stream.standard_normal(out=row)
         # the error state is per thread; a new thread starts from the default
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in starts[worker::workers]:
-                stop = min(start + _PATH_BLOCK, n_paths)
-                streams = seed.substreams(start, stop)
-                y = terminal[start:stop]
-                y.fill(y0)
-                drift = np.empty_like(y)
-                for first in range(0, steps, chunk):
-                    shocks = buffer[: stop - start, : min(chunk, steps - first)]
-                    for row, stream in zip(shocks, streams):
-                        stream.standard_normal(out=row)
-                    shocks *= shock_scale
-                    for dw in shocks.T:
-                        np.exp(y, out=drift)
-                        drift *= pull
-                        drift += base_drift
-                        drift *= dt
-                        y += drift
-                        y += dw
-                        if sign > 0.0:
-                            y[y > _OVERFLOW_GUARD] = np.inf
+        with np.errstate(over="ignore"):
+            rows *= shock_scale
 
     # imported here: `logmgf compute` would pay about 10 ms for it at module level
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(step_blocks, range(workers)))
+    with ThreadPoolExecutor(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_paths, _PATH_BLOCK):
+            stop = min(start + _PATH_BLOCK, n_paths)
+            streams = seed.substreams(start, stop)
+            y = terminal[start:stop]
+            y.fill(y0)
+            drift = np.empty_like(y)
+            for first in range(0, steps, chunk):
+                shocks = buffer[: stop - start, : min(chunk, steps - first)]
+                list(pool.map(draw, range(workers)))
+                for dw in shocks.T:
+                    np.exp(y, out=drift)
+                    drift *= pull
+                    drift += base_drift
+                    drift *= dt
+                    y += drift
+                    y += dw
+                    if sign > 0.0:
+                        y[y > _OVERFLOW_GUARD] = np.inf
     keep = np.isfinite(terminal) & (terminal <= _OVERFLOW_GUARD)
     n_overflowed = int(n_paths - keep.sum())
     if n_overflowed == n_paths:

@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 import logmgf
 from logmgf import (
     DomainError,
+    GaussianParams,
     LogMgfError,
     McConfig,
     MgfQuery,
     RngSeed,
     TileGridConfig,
     ZeroEntropyConfig,
+    build_grid,
     ensemble_moments,
+    expectation,
+    integrate,
     mgf_asmussen,
     mgf_monte_carlo,
     mgf_thintile,
@@ -96,6 +100,37 @@ Q = MgfQuery(0.0, 1.0, -1.0)
 def test_wrong_typed_seeds_and_sizes_raise_domain_error(make):
     with pytest.raises(DomainError):
         make()
+
+
+QUERY_ENTRY_POINTS = {
+    **METHODS,
+    "simulate_paths": lambda q: simulate_paths(q, 2, 10, RngSeed(0)),
+    "integrate": lambda q: integrate(q, ZeroEntropyConfig(steps=10)),
+}
+
+
+@pytest.mark.parametrize(
+    "q", [(0.0, 1.0, -1.0), None, GaussianParams(0.0, 1.0)], ids=["tuple", "None", "GaussianParams"]
+)
+@pytest.mark.parametrize("run", QUERY_ENTRY_POINTS.values(), ids=QUERY_ENTRY_POINTS.keys())
+def test_a_query_of_another_type_raises_domain_error(run, q):
+    with pytest.raises(DomainError, match="q must be a MgfQuery"):
+        run(q)
+
+
+GRID_ENTRY_POINTS = {
+    "build_grid": lambda p: build_grid(p, TileGridConfig(n_pairs=100)),
+    "expectation": lambda p: expectation(np.exp, p, TileGridConfig(n_pairs=100)),
+}
+
+
+@pytest.mark.parametrize("run", GRID_ENTRY_POINTS.values(), ids=GRID_ENTRY_POINTS.keys())
+def test_grid_entry_points_take_any_gaussian_law_and_type_check_it(run):
+    run(GaussianParams(0.0, 1.0))
+    run(MgfQuery(0.0, 1.0, -1.0))
+    for p in [(0.0, 1.0), None]:
+        with pytest.raises(DomainError, match="p must be a GaussianParams"):
+            run(p)
 
 
 def test_numpy_integers_are_integers():

@@ -6,6 +6,8 @@ left out of the first: its imports are the package's exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +113,14 @@ def test_the_benchmark_tracer_binds_names_the_package_keeps():
     from logmgf.gaussian import RngSeed
 
     assert callable(getattr(RngSeed, "substream", None))
+
+
+def test_cli_import_defers_threads_queues_and_random_streams():
+    # each is imported where it is first used; at module level they would add
+    # about 17 ms (2 vCPUs) to every cold `logmgf compute`
+    deferred = ["concurrent.futures", "numpy.random", "queue"]
+    code = f"import sys, logmgf.cli\nprint([m for m in {deferred!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

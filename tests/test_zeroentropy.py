@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import tracemalloc
 import types
 
 import numpy as np
@@ -470,11 +471,12 @@ def _unthreaded_simulate(q, n_paths, steps, seed, overflow_guard=700.0):
         (MgfQuery(0.0, 0.25, -4.0), 2500, 300, 42, ze._SHOCK_FLOATS),
         # some paths overflow and are dropped
         (MgfQuery(0.0, 1.0, 3.0), 3000, 50, 7, ze._SHOCK_FLOATS),
-        # three blocks on two workers, and a small buffer: chunks of steps,
-        # the last one partial
+        # five blocks, and a small buffer: chunks of steps, the last one partial
         (MgfQuery(0.3, 0.7, -0.5), 4500, 700, 9, 2048 * 300),
+        # fewer paths than CPUs (at cpus=3): one share per path
+        (MgfQuery(0.0, 0.5, -2.0), 2, 40, 5, ze._SHOCK_FLOATS),
     ],
-    ids=["partial-block", "overflow", "chunked"],
+    ids=["partial-block", "overflow", "chunked", "fewer-paths-than-cpus"],
 )
 def test_paths_match_unthreaded_reference(
     monkeypatch, cpus, q, n_paths, steps, seed, shock_floats
@@ -490,9 +492,30 @@ def test_paths_match_unthreaded_reference(
         assert 0 < n_overflowed < n_paths
 
 
+def test_paths_hold_one_small_shock_buffer():
+    # a memory bound, not a timing gate: criterion 7's 8192 x 2000 ensemble
+    # once held 35.9 MiB of shocks at its traced peak
+    q = MgfQuery(0.0, 0.0625, -1.0)
+    simulate_paths(q, 8192, 2000, RngSeed(1))  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        simulate_paths(q, 8192, 2000, RngSeed(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_paths_overflow_flagged():
     with pytest.raises(PathOverflow):
         simulate_paths(MgfQuery(0.0, 1.0, 20.0), 8, 50, RngSeed(1))
+
+
+def test_shocks_beyond_the_float_range_raise_path_overflow():
+    # sigma * sqrt(dt) * z overflows in the drawing threads, whose error state
+    # is numpy's default; a warning there would escape as a RuntimeWarning
+    with pytest.raises(PathOverflow):
+        simulate_paths(MgfQuery(0.0, 1e308, -1.0), 64, 1, RngSeed(0))
 
 
 def test_moments_beyond_the_float_range_raise_path_overflow():
