@@ -8,7 +8,7 @@ from .errors import (
     NonFiniteIntegrand,
     PathOverflow,
 )
-from .gaussian import GaussianParams, RngSeed, cdf_std, pdf
+from .gaussian import GaussianParams, RngSeed, pdf
 from .lambertw import LambertResult, lambert_w0, mgf_asmussen
 from .montecarlo import McConfig, mgf_monte_carlo
 from .tables import TABLES, TableSpec
@@ -61,7 +61,6 @@ __all__ = [
     "TileGridConfig",
     "ZeroEntropyConfig",
     "build_grid",
-    "cdf_std",
     "ensemble_moments",
     "expectation",
     "expectation_on_grid",

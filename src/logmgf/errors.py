@@ -1,5 +1,6 @@
 """Exception types shared across the library, and the argument checks that raise one."""
 
+import math
 import operator
 
 
@@ -51,6 +52,14 @@ def _index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(name: str, value) -> bool:
+    """math.isfinite(value); DomainError where value is not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _instance(name: str, value, cls) -> None:

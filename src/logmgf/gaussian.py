@@ -1,10 +1,10 @@
 """Gaussian primitives and seeded random streams used by every other module.
 
-Everything here runs in 64-bit floats. The standard-normal CDF is evaluated
-through the complementary error function; the quantile uses a rational
-initial approximation polished by a Newton step against that CDF, which
-keeps |cdf(inverse(p)) - p| <= 1e-12 across the whole open unit interval. The
-quantile runs on whole arrays.
+Everything here runs in 64-bit floats. The standard-normal quantile runs on
+whole arrays: a rational initial approximation polished by one Newton step
+against the CDF Phi(z) = erfc(-z/sqrt 2)/2, which keeps |Phi(z) - p| <= 1e-12
+across the whole open unit interval. Sub-streams are keyed by one algorithm,
+numpy's SeedSequence hash run on index arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _index
+from .errors import DomainError, _finite, _index
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -31,9 +31,10 @@ class GaussianParams:
     sigma: float
 
     def __post_init__(self):
+        finite = _finite("mu", self.mu), _finite("sigma", self.sigma)
         if not (self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+        if not all(finite):
             raise DomainError("mu and sigma must be finite")
 
 
@@ -118,9 +119,8 @@ class RngSeed:
     (seed, index) with 0 <= index < 2^32: sub-stream i is the generator seeded
     by SeedSequence((seed, i)), so a computation partitioned over indices gives
     the same draws regardless of execution order. `substreams` keys a whole
-    index range with one array pass of SeedSequence's hash; `substream` keys
-    one index through SeedSequence itself, which is faster for one index than
-    an array pass.
+    index range with one array pass of SeedSequence's hash; `substream` is its
+    one-index case.
     """
 
     seed: int
@@ -130,11 +130,11 @@ class RngSeed:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
 
     def substreams(self, start: int, stop: int) -> list[np.random.Generator]:
-        """Sub-streams start, ..., stop - 1; each equals its `substream(i)`.
+        """Sub-streams start, ..., stop - 1.
 
-        Raises DomainError unless 0 <= start <= stop <= 2^32.
+        Raises DomainError unless integers 0 <= start <= stop <= 2^32.
         """
-        if not (0 <= start <= stop <= 2**32):
+        if not (0 <= _index("start", start) <= _index("stop", stop) <= 2**32):
             raise DomainError(
                 f"sub-stream indices must lie in [0, 2^32), got [{start}, {stop})"
             )
@@ -147,11 +147,8 @@ class RngSeed:
 
     def substream(self, index: int) -> np.random.Generator:
         """Generator seeded by SeedSequence((seed, index)); 0 <= index < 2^32."""
-        if not (0 <= index < 2**32):
-            raise DomainError(f"sub-stream index must lie in [0, 2^32), got {index}")
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, index)))
-        )
+        index = _index("index", index)
+        return self.substreams(index, index + 1)[0]
 
 
 def _usable_cpus() -> int:
@@ -165,15 +162,6 @@ def pdf(x: float, p: GaussianParams) -> float:
     """Density of N(mu, sigma^2) at x; strictly positive, peak at x = mu."""
     z = (x - p.mu) / p.sigma
     return _INV_SQRT_TWO_PI / p.sigma * math.exp(-0.5 * z * z)
-
-
-def cdf_std(x: float) -> float:
-    """Standard-normal CDF via erfc; absolute error well below 1e-14.
-
-    The erfc form keeps full relative accuracy in the left tail, which the
-    tile grid relies on when its cumulative area approaches 1.
-    """
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 # Acklam's rational approximation to the standard-normal quantile
@@ -210,10 +198,11 @@ def _acklam(p: np.ndarray) -> np.ndarray:
 
 
 def inverse_cdf_std_array(p: np.ndarray) -> np.ndarray:
-    """Standard-normal quantile of a 1-D array; |cdf_std(z) - p| <= 1e-12.
+    """Standard-normal quantile of a 1-D array; |Phi(z) - p| <= 1e-12.
 
-    Rational approximation seeded, then one Newton step against cdf_std.
-    Raises DomainError unless every element lies in the open unit interval.
+    Rational approximation seeded, then one Newton step against
+    Phi(z) = erfc(-z/sqrt 2)/2. Raises DomainError unless every element lies
+    in the open unit interval.
     """
     p = np.asarray(p, dtype=np.float64)
     outside = ~((p > 0.0) & (p < 1.0))
@@ -222,8 +211,8 @@ def inverse_cdf_std_array(p: np.ndarray) -> np.ndarray:
         raise DomainError(f"quantile argument must lie in (0, 1), got {bad}")
     z = _acklam(p)
     # Newton polish; the seed is already ~1e-9 accurate so one step lands at
-    # the evaluation noise floor of cdf_std. numpy has no erfc, so cdf_std's
-    # erfc runs element by element.
+    # the evaluation noise floor of Phi. numpy has no erfc, so it runs element
+    # by element; the erfc form keeps full relative accuracy in the left tail.
     cdf = 0.5 * np.fromiter(map(math.erfc, -z / _SQRT2), np.float64, len(z))
     z -= (cdf - p) / (_INV_SQRT_TWO_PI * np.exp(-0.5 * z * z))
     return z

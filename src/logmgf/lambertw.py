@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _instance
+from .errors import ConvergenceError, DomainError, _finite, _instance
 from .types import Method, MgfEstimate, MgfQuery
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, domain edge of the principal branch
@@ -63,7 +63,7 @@ def lambert_w0(x: float) -> LambertResult:
     Residual contract: |w*e^w - x| <= 1e-12 * max(1, |x|). Raises DomainError
     for x < -1/e and ConvergenceError if the contract is unmet in 50 rounds.
     """
-    if not math.isfinite(x):
+    if not _finite("x", x):
         raise DomainError(f"argument must be finite, got {x}")
     if x < _BRANCH_POINT:
         raise DomainError(f"no real principal-branch value for x={x!r} < -1/e")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .types import Method
 
 
@@ -21,6 +22,8 @@ class TableSpec:
     paper_values: dict[Method, tuple[float, ...]]
 
     def paper_value(self, method: Method, theta: float) -> float:
+        if theta not in self.thetas:
+            raise DomainError(f"table {self.table_id} prints thetas {self.thetas}, not {theta!r}")
         return self.paper_values[method][self.thetas.index(theta)]
 
 

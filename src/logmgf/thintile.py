@@ -122,6 +122,7 @@ def _standard_grid(n_pairs: int) -> np.ndarray:
 def build_grid(p: GaussianParams, cfg: TileGridConfig) -> TileGrid:
     """The tile grid for N(mu, sigma^2) with n_pairs - 1 pairs, on the cached standard grid."""
     _instance("p", p, GaussianParams)
+    _instance("cfg", cfg, TileGridConfig)
     return TileGrid(p.mu, p.sigma, _standard_grid(cfg.n_pairs))
 
 
@@ -213,6 +214,9 @@ def expectation_on_grid(f: Callable[[float], float], grid: TileGrid) -> Expectat
     held until every f(x_n) is known to be finite, so the first bad f(x_n)
     of the whole grid is named before it.
     """
+    _instance("grid", grid, TileGrid)
+    if not callable(f):
+        raise DomainError(f"f must be callable, got {f!r}")
     parts = []
     held = None  # values and abscissae of the first piece with a bad mirror
     for start in range(0, grid.n_pairs, _PIECE):

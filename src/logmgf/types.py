@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .gaussian import GaussianParams
 
 
@@ -30,7 +29,7 @@ class MgfQuery(GaussianParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if not math.isfinite(self.theta):
+        if not _finite("theta", self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
 
     @property

@@ -116,6 +116,7 @@ def _euler(
     finite, as it is once sigma^3 has left the float range.
     """
     _instance("q", q, MgfQuery)
+    _instance("cfg", cfg, ZeroEntropyConfig)
     if q.theta == 0.0:
         raise DomainError("theta = 0 short-circuits to MGF 1; not integrable")
     dt = 1.0 / cfg.steps
@@ -268,9 +269,14 @@ def mgf_zero_entropy(q: MgfQuery, cfg: ZeroEntropyConfig | None = None) -> MgfEs
 
 
 def trajectory_csv(q: MgfQuery, cfg: ZeroEntropyConfig, sink: TextIO) -> None:
-    """Dump the Euler trajectory as CSV `i,t,m,v`, one row per state."""
-    sink.write("i,t,m,v\n")
+    """Dump the Euler trajectory as CSV `i,t,m,v`, one row per state.
+
+    The header goes out with the initial state, so an argument that the
+    integrator rejects writes nothing.
+    """
     for i, s in enumerate(iter_states(q, cfg)):
+        if i == 0:
+            sink.write("i,t,m,v\n")
         sink.write(f"{i},{s.t!r},{s.m!r},{s.v!r}\n")
 
 

@@ -1,6 +1,9 @@
 """Every mgf_* method returns a finite value or raises a LogMgfError."""
 
+import io
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,20 +16,27 @@ from logmgf import (
     GaussianParams,
     LogMgfError,
     McConfig,
+    Method,
     MgfQuery,
     RngSeed,
+    TABLES,
     TileGridConfig,
     ZeroEntropyConfig,
     build_grid,
     ensemble_moments,
     expectation,
+    expectation_on_grid,
     integrate,
+    integrate_with_info,
+    iter_states,
+    lambert_w0,
     mgf_asmussen,
     mgf_monte_carlo,
     mgf_thintile,
     mgf_zero_entropy,
     simulate_paths,
 )
+from logmgf.zeroentropy import trajectory_csv
 
 # small engines: the failure modes depend on (mu, sigma, theta), not on size
 METHODS = {
@@ -131,6 +141,99 @@ def test_grid_entry_points_take_any_gaussian_law_and_type_check_it(run):
     for p in [(0.0, 1.0), None]:
         with pytest.raises(DomainError, match="p must be a GaussianParams"):
             run(p)
+
+
+def _csv_writes_nothing(q, cfg):
+    sink = io.StringIO()
+    try:
+        trajectory_csv(q, cfg, sink)
+    finally:
+        assert sink.getvalue() == ""  # the check runs before the header
+
+
+ZERO_ENTROPY_CFG_ENTRY_POINTS = {
+    "integrate": lambda cfg: integrate(Q, cfg),
+    "integrate_with_info": lambda cfg: integrate_with_info(Q, cfg),
+    "iter_states": lambda cfg: list(iter_states(Q, cfg)),
+    "trajectory_csv": lambda cfg: _csv_writes_nothing(Q, cfg),
+}
+TILE_CFG_ENTRY_POINTS = {
+    "build_grid": lambda cfg: build_grid(Q, cfg),
+    "expectation": lambda cfg: expectation(np.exp, Q, cfg),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg", [None, 5, TileGridConfig(n_pairs=100)], ids=["None", "int", "TileGridConfig"]
+)
+@pytest.mark.parametrize(
+    "run", ZERO_ENTROPY_CFG_ENTRY_POINTS.values(), ids=ZERO_ENTROPY_CFG_ENTRY_POINTS.keys()
+)
+def test_a_required_zero_entropy_config_of_another_type_raises_domain_error(run, cfg):
+    with pytest.raises(DomainError, match="cfg must be a ZeroEntropyConfig"):
+        run(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg", [None, 5, ZeroEntropyConfig(steps=10)], ids=["None", "int", "ZeroEntropyConfig"]
+)
+@pytest.mark.parametrize("run", TILE_CFG_ENTRY_POINTS.values(), ids=TILE_CFG_ENTRY_POINTS.keys())
+def test_a_required_tile_config_of_another_type_raises_domain_error(run, cfg):
+    with pytest.raises(DomainError, match="cfg must be a TileGridConfig"):
+        run(cfg)
+
+
+@pytest.mark.parametrize(
+    "grid", [None, 5, TileGridConfig(n_pairs=100)], ids=["None", "int", "TileGridConfig"]
+)
+def test_a_grid_of_another_type_raises_domain_error(grid):
+    with pytest.raises(DomainError, match="grid must be a TileGrid"):
+        expectation_on_grid(np.exp, grid)
+
+
+@pytest.mark.parametrize("f", [None, 5], ids=["None", "int"])
+def test_an_integrand_that_is_not_callable_raises_domain_error(f):
+    cfg = TileGridConfig(n_pairs=100)
+    grid = build_grid(Q, cfg)
+    for run in (lambda: expectation(f, Q, cfg), lambda: expectation_on_grid(f, grid)):
+        with pytest.raises(DomainError, match="f must be callable"):
+            run()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MgfQuery("0", 1.0, 1.0),
+        lambda: MgfQuery(0.0, "1", 1.0),
+        lambda: MgfQuery(0.0, 1.0, None),
+        lambda: MgfQuery(0.0, 1.0, 1j),
+        lambda: GaussianParams(None, 1.0),
+        lambda: GaussianParams(0.0, None),
+        lambda: lambert_w0("x"),
+    ],
+    ids=["str mu", "str sigma", "None theta", "complex theta", "None mu", "None sigma", "str x"],
+)
+def test_a_scalar_that_is_not_real_raises_domain_error(make):
+    with pytest.raises(DomainError, match="must be a real number"):
+        make()
+
+
+def test_real_scalars_of_every_numeric_type_are_still_accepted():
+    for mu, sigma, theta in [
+        (0, True, -1),
+        (np.float32(0.5), np.int8(2), np.float64(-1.0)),
+        (Fraction(1, 3), Fraction(1, 2), Fraction(-2)),
+        (Decimal("0.5"), Decimal("0.25"), Decimal("-1")),
+    ]:
+        assert MgfQuery(mu, sigma, theta).theta == theta
+    for x in [0, True, np.float32(0.5), Fraction(1, 2)]:
+        assert lambert_w0(x).residual <= 1e-12
+
+
+def test_a_theta_the_table_does_not_print_raises_domain_error():
+    assert TABLES[1].paper_value(Method.THIN_TILE, 0.3) == 1.352509
+    with pytest.raises(DomainError, match=r"thetas \(0.1, 0.3, 0.5, 1.0, 1.2\), not 0.2"):
+        TABLES[1].paper_value(Method.THIN_TILE, 0.2)
 
 
 def test_numpy_integers_are_integers():

@@ -43,6 +43,42 @@ def test_the_check_finds_an_unused_import():
     assert _unused_imports(source) == ["io (line 1)", "field (line 3)"]
 
 
+def _seedsequence_uses(source: str) -> list[str]:
+    """Lines whose code names SeedSequence; docstrings and comments are not code."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "SeedSequence":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "SeedSequence":
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "SeedSequence" for alias in node.names):
+                lines.add(node.lineno)
+    return [f"SeedSequence (line {line})" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_streams_have_one_keying_algorithm(path):
+    # RngSeed.substreams runs SeedSequence's hash itself on index arrays; a
+    # second path through numpy's SeedSequence could drift from it unseen
+    assert _seedsequence_uses(path.read_text()) == []
+
+
+def test_the_check_finds_a_seedsequence_in_code():
+    source = (
+        '"""Keyed like SeedSequence((seed, i))."""\n'
+        "import numpy as np\n"
+        "from numpy.random import SeedSequence as S\n"
+        "from numpy.random.bit_generator import ISeedSequence\n"
+        "# SeedSequence in a comment\n"
+        "np.random.SeedSequence((0, 1))\n"
+        "SeedSequence\n"
+    )
+    assert _seedsequence_uses(source) == [
+        "SeedSequence (line 3)", "SeedSequence (line 6)", "SeedSequence (line 7)",
+    ]
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """Module-level `_name`s a module defines (dunder names excluded)."""
     names = []
