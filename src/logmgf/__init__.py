@@ -30,7 +30,6 @@ from .zeroentropy import (
     ensemble_moments,
     integrate,
     integrate_with_info,
-    iter_states,
     mgf_zero_entropy,
     simulate_paths,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "expectation_on_grid",
     "integrate",
     "integrate_with_info",
-    "iter_states",
     "lambert_w0",
     "mgf_asmussen",
     "mgf_monte_carlo",

@@ -1,6 +1,7 @@
 """Exception types shared across the library, and the argument checks that raise one."""
 
 import math
+import numbers
 import operator
 
 
@@ -54,12 +55,22 @@ def _index(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _finite(name: str, value) -> bool:
-    """math.isfinite(value); DomainError where value is not a real number."""
+def _real(name: str, value) -> float:
+    """value as a float, +-inf past the float range; DomainError where it is not real.
+
+    Any complex value is refused, a numpy one included, whose float() would
+    drop the imaginary part with only a warning. math.isfinite converts as
+    float() does, except that it parses no string.
+    """
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        return math.isfinite(value)
+        math.isfinite(value)
     except TypeError:
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int or a Fraction past the largest double
+        return math.inf if value > 0 else -math.inf
+    return float(value)
 
 
 def _instance(name: str, value, cls) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _finite, _index
+from .errors import DomainError, _index, _real
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -25,16 +25,20 @@ _INV_SQRT_TWO_PI = 1.0 / _SQRT_TWO_PI
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Location/scale of a Gaussian law N(mu, sigma^2); sigma > 0."""
+    """Location/scale of a Gaussian law N(mu, sigma^2); sigma > 0.
+
+    Both fields are stored as floats, whatever real type they were given as.
+    """
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        finite = _finite("mu", self.mu), _finite("sigma", self.sigma)
+        object.__setattr__(self, "mu", _real("mu", self.mu))
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma))
         if not (self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not all(finite):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise DomainError("mu and sigma must be finite")
 
 

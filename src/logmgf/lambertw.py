@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _finite, _instance
+from .errors import ConvergenceError, DomainError, _instance, _real
 from .types import Method, MgfEstimate, MgfQuery
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, domain edge of the principal branch
 _MAX_ITER = 50
 _RESIDUAL_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
+_LOG_FORM_FROM = 1e300  # lambert_w0 iterates on log(w e^w) above it
 _TRAPEZOID_MAX_NODES = 1 << 16
 _TRAPEZOID_ROUNDING = 32.0 * sys.float_info.epsilon
 
@@ -62,18 +63,30 @@ def lambert_w0(x: float) -> LambertResult:
 
     Residual contract: |w*e^w - x| <= 1e-12 * max(1, |x|). Raises DomainError
     for x < -1/e and ConvergenceError if the contract is unmet in 50 rounds.
+    Above _LOG_FORM_FROM, where Halley's (w + 2) f overflows from about
+    2.76e307, Newton iterates on w + log w = log x instead, and the residual
+    is x |expm1(w + log w - log x)|.
     """
-    if not _finite("x", x):
+    x = _real("x", x)
+    if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
     if x < _BRANCH_POINT:
         raise DomainError(f"no real principal-branch value for x={x!r} < -1/e")
     if x == 0.0:
         return LambertResult(0.0, 0, 0.0)
+    log_form = x > _LOG_FORM_FROM
+    log_x = math.log(x) if log_form else 0.0
+
+    def residual(w: float) -> float:
+        if log_form:
+            return x * abs(math.expm1(w + math.log(w) - log_x))
+        return abs(w * math.exp(w) - x)
+
     tol = _RESIDUAL_TOL * max(1.0, abs(x))
     floor = 4e-16 * abs(x)
     w = _initial_guess(x)
     best_w = w
-    best_res = abs(w * math.exp(w) - x)
+    best_res = residual(w)
     iterations = 0
     # iterate past the contract down to the evaluation floor so the closed
     # form is never the accuracy bottleneck in cross-method comparisons; the
@@ -81,14 +94,17 @@ def lambert_w0(x: float) -> LambertResult:
     # small |x|, where W ~ x
     while best_res > floor and iterations < _MAX_ITER:
         iterations += 1
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            break  # square-root singularity; the series seed is already tight
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w -= f / denom
-        res = abs(w * math.exp(w) - x)
+        if log_form:
+            w -= (w + math.log(w) - log_x) * w / (w + 1.0)
+        else:
+            ew = math.exp(w)
+            f = w * ew - x
+            wp1 = w + 1.0
+            if wp1 == 0.0:
+                break  # square-root singularity; the series seed is already tight
+            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+            w -= f / denom
+        res = residual(w)
         if res >= best_res:
             break  # stalled at the rounding floor
         best_w, best_res = w, res

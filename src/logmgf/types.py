@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _real
 from .gaussian import GaussianParams
 
 
@@ -20,16 +21,17 @@ class Method(str, enum.Enum):
 class MgfQuery(GaussianParams):
     """One MGF problem instance: E[exp(theta * e^x)] with x ~ N(mu, sigma^2).
 
-    The Gaussian law (mu, sigma) is checked by GaussianParams. theta == 0 is
-    a boundary case every method short-circuits to 1 exactly; it is never
-    fed to log|theta|.
+    The Gaussian law (mu, sigma) is checked by GaussianParams, and theta is
+    stored as a float like them. theta == 0 is a boundary case every method
+    short-circuits to 1 exactly; it is never fed to log|theta|.
     """
 
     theta: float
 
     def __post_init__(self):
         super().__post_init__()
-        if not _finite("theta", self.theta):
+        object.__setattr__(self, "theta", _real("theta", self.theta))
+        if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
 
     @property

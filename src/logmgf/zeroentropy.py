@@ -176,16 +176,6 @@ def _euler(
         yield (i + 1) * dt, m, v
 
 
-def iter_states(q: MgfQuery, cfg: ZeroEntropyConfig) -> Iterator[OdeState]:
-    """Euler trajectory of (m, v) over [0, 1], yielding every state.
-
-    The first yielded state is the initial condition; each subsequent one is
-    the state after one step of size 1/steps.
-    """
-    for t, m, v in _euler(q, cfg, IntegrationInfo()):
-        yield OdeState(t, m, v)
-
-
 def integrate_with_info(
     q: MgfQuery, cfg: ZeroEntropyConfig
 ) -> tuple[OdeState, IntegrationInfo]:
@@ -274,10 +264,10 @@ def trajectory_csv(q: MgfQuery, cfg: ZeroEntropyConfig, sink: TextIO) -> None:
     The header goes out with the initial state, so an argument that the
     integrator rejects writes nothing.
     """
-    for i, s in enumerate(iter_states(q, cfg)):
+    for i, (t, m, v) in enumerate(_euler(q, cfg, IntegrationInfo())):
         if i == 0:
             sink.write("i,t,m,v\n")
-        sink.write(f"{i},{s.t!r},{s.m!r},{s.v!r}\n")
+        sink.write(f"{i},{t!r},{m!r},{v!r}\n")
 
 
 def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> PathEnsemble:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from logmgf import (
     expectation_on_grid,
     integrate,
     integrate_with_info,
-    iter_states,
     lambert_w0,
     mgf_asmussen,
     mgf_monte_carlo,
@@ -154,7 +154,6 @@ def _csv_writes_nothing(q, cfg):
 ZERO_ENTROPY_CFG_ENTRY_POINTS = {
     "integrate": lambda cfg: integrate(Q, cfg),
     "integrate_with_info": lambda cfg: integrate_with_info(Q, cfg),
-    "iter_states": lambda cfg: list(iter_states(Q, cfg)),
     "trajectory_csv": lambda cfg: _csv_writes_nothing(Q, cfg),
 }
 TILE_CFG_ENTRY_POINTS = {
@@ -210,12 +209,22 @@ def test_an_integrand_that_is_not_callable_raises_domain_error(f):
         lambda: GaussianParams(None, 1.0),
         lambda: GaussianParams(0.0, None),
         lambda: lambert_w0("x"),
+        lambda: MgfQuery(0.0, 1.0, np.complex128(-1 + 1j)),
+        lambda: MgfQuery(np.complex64(0), 1.0, -1.0),
+        lambda: GaussianParams(0.0, complex(1, 0)),
+        lambda: MgfQuery(0.0, 1.0, np.array(-1 + 1j)),
+        lambda: lambert_w0(np.complex128(1)),
     ],
-    ids=["str mu", "str sigma", "None theta", "complex theta", "None mu", "None sigma", "str x"],
+    ids=["str mu", "str sigma", "None theta", "complex theta", "None mu", "None sigma", "str x",
+         "numpy complex theta", "numpy complex mu", "real complex sigma", "0-d complex array",
+         "numpy complex x"],
 )
 def test_a_scalar_that_is_not_real_raises_domain_error(make):
-    with pytest.raises(DomainError, match="must be a real number"):
-        make()
+    # numpy's float() of a complex value warns and drops the imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be a real number"):
+            make()
 
 
 def test_real_scalars_of_every_numeric_type_are_still_accepted():
@@ -228,6 +237,41 @@ def test_real_scalars_of_every_numeric_type_are_still_accepted():
         assert MgfQuery(mu, sigma, theta).theta == theta
     for x in [0, True, np.float32(0.5), Fraction(1, 2)]:
         assert lambert_w0(x).residual <= 1e-12
+
+
+def _outcome(run, q):
+    """An estimate's value and diagnostics as hex, or its exception's type and message."""
+    try:
+        est = run(q)
+    except LogMgfError as exc:
+        return type(exc), str(exc)
+    return est.value.hex(), {k: v.hex() for k, v in est.diagnostics.items()}
+
+
+def _retyped(x: float, kind: str):
+    return {"int": int, "numpy": np.float64, "Fraction": Fraction, "Decimal": Decimal}[kind](x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mu=st.floats(-2.0, 2.0) | st.integers(-2, 2).map(float),
+    sigma=st.floats(0.05, 1.5) | st.just(1.0),
+    theta=st.floats(-8.0, 1.2) | st.integers(-8, 1).map(float),
+    kind=st.sampled_from(["int", "numpy", "Fraction", "Decimal"]),
+)
+def test_every_real_type_gives_the_estimate_of_its_float(mu, sigma, theta, kind):
+    fields = [_retyped(x, kind) if kind != "int" or x.is_integer() else x
+              for x in (mu, sigma, theta)]
+    q = MgfQuery(*fields)
+    assert all(type(x) is float for x in (q.mu, q.sigma, q.theta))
+    for run in METHODS.values():
+        assert _outcome(run, q) == _outcome(run, MgfQuery(mu, sigma, theta))
+
+
+def test_an_int_or_fraction_past_the_float_range_is_not_finite():
+    for fields in [(10**400, 1.0, -1.0), (0.0, 1.0, Fraction(-10**400))]:
+        with pytest.raises(DomainError, match="must be finite"):
+            MgfQuery(*fields)
 
 
 def test_a_theta_the_table_does_not_print_raises_domain_error():

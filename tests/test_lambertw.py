@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
@@ -84,6 +84,34 @@ def test_small_arguments_match_mpmath_relatively(sign):
 def test_identity_property(x):
     res = lambert_w0(x)
     assert abs(res.w * math.exp(res.w) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log10_x=st.floats(300.0, math.log10(sys.float_info.max)))
+@example(log10_x=math.log10(sys.float_info.max))
+def test_the_top_of_the_float_range_matches_mpmath(log10_x):
+    # Halley's (w + 2) f overflowed from about 2.76e307, where W is about 703
+    with mp.workdps(40):
+        x = min(float(mp.mpf(10) ** log10_x), sys.float_info.max)
+        ref = mp.lambertw(mp.mpf(x))
+        assert abs(lambert_w0(x).w - ref) <= 1e-15 * ref
+
+
+@settings(max_examples=500)
+@given(x=st.floats(-math.exp(-1.0), sys.float_info.max))
+@example(x=sys.float_info.max)
+@example(x=2.8e307)
+def test_every_finite_argument_meets_the_residual_contract(x):
+    assert lambert_w0(x).residual <= 1e-12 * max(1.0, abs(x))
+
+
+def test_laplace_w_reaches_the_top_of_the_lambert_range():
+    # the Lambert argument is 2.8e307, 1e308 and about 1.01e308
+    q = MgfQuery(0.0, 1000.0, -2.8e301)
+    assert mgf_asmussen(q).value == pytest.approx(mgf_thintile(q).value, rel=5e-5)
+    # the true values lie far below the smallest double, so both methods give 0
+    for q in (MgfQuery(0.0, 1.0, -1e308), MgfQuery(700.0, 1.0, -1e4)):
+        assert mgf_asmussen(q).value == 0.0 == mgf_thintile(q).value
 
 
 def test_mgf_theta_zero_collapses_to_one():

@@ -21,7 +21,6 @@ from logmgf import (
     ensemble_moments,
     integrate,
     integrate_with_info,
-    iter_states,
     mgf_zero_entropy,
     simulate_paths,
 )
@@ -171,17 +170,18 @@ def test_first_euler_step_forced():
     # m at zero for theta = -1
     q = MgfQuery(0.0, 0.1, -1.0)
     cfg = ZeroEntropyConfig(steps=10, variance_kick=True)
-    states = list(iter_states(q, cfg))
+    states = [OdeState(*s) for s in ze._euler(q, cfg, ze.IntegrationInfo())]
     assert states[0] == OdeState(0.0, 0.0, 0.0)
     assert states[1].m == 0.0
     assert states[1].v == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_initial_variance_depends_on_sign_and_gamma():
-    pos = next(iter_states(MgfQuery(0.0, 0.2, 1.0), ZeroEntropyConfig()))
-    assert pos.v == pytest.approx(0.04, rel=1e-12)
-    neg = next(iter_states(MgfQuery(0.0, 0.2, -1.0), ZeroEntropyConfig()))
-    assert neg.v == 0.0
+    cfg, info = ZeroEntropyConfig(), ze.IntegrationInfo()
+    _, _, v_pos = next(ze._euler(MgfQuery(0.0, 0.2, 1.0), cfg, info))
+    assert v_pos == pytest.approx(0.04, rel=1e-12)
+    _, _, v_neg = next(ze._euler(MgfQuery(0.0, 0.2, -1.0), cfg, info))
+    assert v_neg == 0.0
 
 
 def test_variance_frozen_without_kick_for_negative_theta():
@@ -233,7 +233,7 @@ def test_small_sigma_limit():
 def test_variance_monotone_non_decreasing():
     for mu, sigma, theta in TABLE1_SETS + TABLE2_SETS + TABLE3_SETS:
         q = MgfQuery(mu, sigma, theta)
-        vs = [s.v for s in iter_states(q, ZeroEntropyConfig(steps=500))]
+        vs = [v for _, _, v in ze._euler(q, ZeroEntropyConfig(steps=500), ze.IntegrationInfo())]
         assert all(b >= a for a, b in zip(vs, vs[1:]))
 
 

@@ -1,0 +1,137 @@
+"""Write BENCH_<N>.json: every benchmark row and acceptance wall time at one tree.
+
+    python3 tools/bench_file.py --pr N
+
+Runs perfbench/run.py for each workload of BENCHMARK.json, once untraced and
+once with --trace 1, at BENCHMARK.json's run_seconds and seed SEED. Then runs
+the acceptance suite with --durations=0 and records each criterion's outcome
+and wall time; a failing criterion is recorded, not fatal. The file holds
+every result and details line as perfbench printed them (the details lines
+carry the machine), the git head, whether the tree was clean, and the
+tree_digest of the files measured, which a later checkout of the commit that
+holds those files reproduces. Standard library only; run it from anywhere
+inside the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+# what the rows depend on: the benchmark, the code it runs, the suite and this tool
+MEASURED = ("BENCHMARK.json", "perfbench", "src", "tests", "tools")
+# "12.34s call     tests/test_acceptance.py::test_criterion_3_table3_reproduction"
+_DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S+)$")
+# "PASSED tests/test_acceptance.py::test_x" or "FAILED tests/...::test_x - AssertionError..."
+_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)")
+
+
+def parse_run_output(stdout: str) -> dict:
+    """perfbench/run.py's last two lines: {"details": ..., "result": ...}."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"expected a details line and a result line, got {stdout!r}")
+    return {"details": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def parse_durations(report: str) -> dict[str, dict]:
+    """Each test's outcome and seconds (setup + call + teardown) from a pytest report.
+
+    The report is pytest's output with --durations=0 and -rA. Phases pytest
+    hides as shorter than 5 ms count as 0.
+    """
+    tests: dict[str, dict] = {}
+    for line in report.splitlines():
+        if m := _DURATION.match(line.strip()):
+            entry = tests.setdefault(m[3], {"outcome": None, "seconds": 0.0})
+            entry["seconds"] += float(m[1])
+        elif m := _OUTCOME.match(line.strip()):
+            tests.setdefault(m[2], {"outcome": None, "seconds": 0.0})["outcome"] = m[1].lower()
+    return tests
+
+
+def _run(cmd: list[str], check: bool) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    if check and out.returncode != 0:
+        raise SystemExit(f"bench_file: {' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
+    return out
+
+
+def _git(*args: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def tree_digest(root: Path = ROOT) -> str:
+    """sha256 over the name and bytes of every file under MEASURED that git does not ignore.
+
+    Tracked and untracked files count alike, so the files of a tree give the
+    same digest before and after they are committed. Check a BENCH file with
+    python3 -c "import sys; sys.path[:0] = ['tools']; import bench_file; print(bench_file.tree_digest())"
+    """
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", "--",
+                 *MEASURED, root=root).split("\0")
+    digest = hashlib.sha256()
+    for name in sorted(set(filter(None, names))):
+        path = root / name
+        if path.is_file():  # a file deleted but still in the index is skipped
+            data = path.read_bytes()
+            digest.update(f"{name}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", type=int, required=True, help="N of the BENCH_<N>.json written")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    bench = {
+        "pr": args.pr,
+        "command": f"python3 tools/bench_file.py --pr {args.pr}",
+        "git": {"head": _git("rev-parse", "HEAD"), "clean": _git("status", "--porcelain") == "",
+                "tree_digest": tree_digest(), "digest_covers": list(MEASURED)},
+        "seed": SEED,
+        "seconds": seconds,
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = {}
+        for trace in (0, 1):
+            print(f"bench_file: {workload} trace={trace}", file=sys.stderr)
+            out = _run([sys.executable, "perfbench/run.py", "--workload", workload,
+                        "--seed", str(SEED), "--seconds", f"{seconds:g}",
+                        "--trace", str(trace)], check=True)
+            runs["traced" if trace else "untraced"] = parse_run_output(out.stdout)
+        bench["workloads"][workload] = runs
+    print("bench_file: acceptance suite", file=sys.stderr)
+    t0 = perf_counter()
+    out = _run([sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "-rA",
+                "--durations=0", "-p", "no:cacheprovider"], check=False)
+    bench["acceptance"] = {
+        "returncode": out.returncode,
+        "wall_s": perf_counter() - t0,
+        "tests": parse_durations(out.stdout),
+    }
+    if not bench["acceptance"]["tests"]:
+        raise SystemExit(f"bench_file: no test in the acceptance report:\n{out.stdout}{out.stderr}")
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"bench_file: wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
