@@ -49,6 +49,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
+# sub-streams per seed: index p is one 32-bit word of the key (seed, p)
+_STREAMS = 2**32
 
 
 def _keyed_states(seed: int, start: int, stop: int) -> np.ndarray:
@@ -138,7 +140,7 @@ class RngSeed:
 
         Raises DomainError unless integers 0 <= start <= stop <= 2^32.
         """
-        if not (0 <= _index("start", start) <= _index("stop", stop) <= 2**32):
+        if not (0 <= _index("start", start) <= _index("stop", stop) <= _STREAMS):
             raise DomainError(
                 f"sub-stream indices must lie in [0, 2^32), got [{start}, {stop})"
             )

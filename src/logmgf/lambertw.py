@@ -137,7 +137,7 @@ def _trapezoid_factor(c: float, spread: float, w: float) -> tuple[float, int, fl
         top = e.max()
         terms = np.exp(e - top)
     scale = h * math.exp(top) / math.sqrt(2.0 * math.pi)
-    fine, coarse = scale * terms.sum(), 2.0 * scale * terms[::2].sum()
+    fine, coarse = scale * float(terms.sum()), 2.0 * scale * float(terms[::2].sum())
     return fine, len(z), abs(fine - coarse) + _TRAPEZOID_ROUNDING * fine
 
 

@@ -9,27 +9,35 @@ which thread evaluated a piece. The second moment is accumulated around the
 first piece's mean to dodge cancellation at large sample counts.
 
 A block's normals depend on (seed, block index, block size) alone, not on the
-query, so they are cached per that key: one block is held (8 MiB at the full
-block size), read-only, and a call that repeats the key, e.g. every query at
-the default 10^6 samples and seed 0, draws nothing. The elementwise steps run
-in the order of the out-of-place expression exp(theta * exp(mu + sigma * x))
-and with the same roundings, in place in a reused buffer, so a piece's sums do
-not depend on how many pieces one numpy call covers.
+query. The first sight of a key keeps nothing: the caller draws the block's
+sub-stream span by span into its span buffer and evaluates each span in place,
+the first span one piece long, as that piece fixes the shift. Only when the
+next block asked for repeats the key is the block drawn whole (8 MiB at the
+full block size) and kept, read-only, in the one slot; from then on a call
+with that key, e.g. every query at the default 10^6 samples and seed 0, draws
+nothing. So a one-shot process such as `logmgf compute` never holds the 8 MiB,
+and a repeated key is drawn twice, streamed and then whole. Only the key
+streamed last is remembered, so a call of several blocks streams every one.
+The elementwise steps run in the order of the out-of-place expression
+exp(theta * exp(mu + sigma * x)) and with the same roundings, in place in a
+reused buffer, so a piece's sums do not depend on how many pieces one numpy
+call covers, nor on whether its normals were streamed or kept.
 
 Where more than one CPU is usable, one daemon helper thread per process shares
-the pieces of a block. The caller queues a weak reference to the block, then
-claims spans of _SPAN pieces from the front, in a 2 MiB buffer that each
+the pieces of a kept block. The caller queues a weak reference to the block,
+then claims spans of _SPAN pieces from the front, in a 2 MiB buffer that each
 calling thread keeps, while the helper claims single pieces from the back in
 its own 512 KiB buffer. The caller never waits for the helper: when the claims
 meet, it evaluates any piece the helper has claimed but not yet stored itself,
 to the same floats. A stalled or failing helper therefore costs only the time
 of its pieces, and a job whose caller has returned claims nothing and keeps
-nothing alive. On one usable CPU no helper starts.
+nothing alive. A streamed block is drawn in the order its pieces are claimed,
+so its caller evaluates it alone: on one usable CPU, or before a key repeats,
+no helper starts.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, DomainError, _config, _index, _instance
-from .gaussian import RngSeed, _usable_cpus
+from .gaussian import _STREAMS, RngSeed, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
 _BLOCK = 1 << 20  # draws per sub-stream; another size draws other streams
@@ -60,13 +68,36 @@ class McConfig:
                 f"n_samples must be >= 1000 for a meaningful standard error, "
                 f"got {self.n_samples}"
             )
+        if self.n_samples > _BLOCK * _STREAMS:  # one sub-stream per block
+            raise DomainError(
+                f"n_samples must be <= 2^32 blocks of {_BLOCK}, got {self.n_samples}"
+            )
 
 
-@functools.lru_cache(maxsize=1)
-def _normals(seed: RngSeed, block: int, size: int) -> np.ndarray:
-    """The read-only standard normals of one block: sub-stream `block` of seed."""
-    x = seed.substream(block).standard_normal(size)
+_kept = None  # (key, read-only normals) of the one block kept
+_streamed = None  # the key of the block streamed last
+
+
+def _normals(seed: RngSeed, block: int, size: int) -> np.ndarray | np.random.Generator:
+    """The standard normals of one block, sub-stream `block` of seed.
+
+    The kept read-only block if its key is kept, or drawn whole and kept if
+    the block streamed last had this key; otherwise the sub-stream itself,
+    from which the caller draws span by span, keeping nothing. Each global
+    is replaced in one assignment: racing callers may redraw, never differ.
+    """
+    global _kept, _streamed
+    key = (seed, block, size)
+    kept = _kept
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    rng = seed.substream(block)
+    if _streamed != key:
+        _streamed = key
+        return rng
+    x = rng.standard_normal(size)
     x.flags.writeable = False
+    _kept = key, x
     return x
 
 
@@ -81,9 +112,10 @@ class _Block:
     the helper lets go of the lock.
     """
 
-    def __init__(self, x: np.ndarray, q: MgfQuery, shift: float | None):
-        self.x, self.q, self.shift = x, q, shift
-        n_pieces = -(-len(x) // _PIECE)
+    def __init__(self, x: np.ndarray | np.random.Generator, size: int, q: MgfQuery,
+                 shift: float | None):
+        self.x, self.size, self.q, self.shift = x, size, q, shift
+        n_pieces = -(-size // _PIECE)
         # moments[i] is piece i's (sum, sum of squares), stored in one
         # assignment, so a reader sees all of a piece or none of it
         self.moments: list[tuple[float, float] | None] = [None] * n_pieces
@@ -93,13 +125,19 @@ class _Block:
     def evaluate(self, start: int, stop: int, buf: np.ndarray) -> None:
         """Store the moments of pieces start..stop-1 about the shift.
 
-        Without a shift, the one piece evaluated sets it to its mean.
+        Without a shift, the one piece evaluated sets it to its mean. A
+        streamed block draws the pieces' normals into buf here: its caller
+        alone claims them, front to back, so they are drawn in stream order.
         """
-        x = self.x[start * _PIECE : stop * _PIECE]
-        f = buf[: len(x)]
+        lo = start * _PIECE
+        f = buf[: min(stop * _PIECE, self.size) - lo]
         q = self.q
         # x * sigma + mu rounds as mu + sigma * x does: both ops commute
-        np.multiply(x, q.sigma, out=f)
+        if isinstance(self.x, np.ndarray):
+            np.multiply(self.x[lo : lo + len(f)], q.sigma, out=f)
+        else:
+            self.x.standard_normal(out=f)
+            f *= q.sigma
         f += q.mu
         np.exp(f, out=f)
         f *= q.theta
@@ -223,12 +261,14 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n:
             size = min(_BLOCK, n - done)
-            block = _Block(_normals(cfg.seed, n_blocks, size), q, shift)
+            x = _normals(cfg.seed, n_blocks, size)
+            block = _Block(x, size, q, shift)
             if shift is None:
                 # piece 0 alone fixes the shift before the pieces are shared
                 block.run(buf[:_PIECE], limit=1)
                 shift = block.shift
-            jobs = _helper_jobs(len(block.moments))
+            # a streamed block's pieces are drawn as claimed: the caller claims them all
+            jobs = _helper_jobs(len(block.moments)) if isinstance(x, np.ndarray) else None
             if jobs is not None:
                 jobs.put(weakref.ref(block))
             block.run(buf)

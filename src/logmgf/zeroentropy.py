@@ -46,7 +46,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PathOverflow, _config, _index, _instance
-from .gaussian import RngSeed, _usable_cpus
+from .gaussian import _STREAMS, RngSeed, _usable_cpus
 from .lambertw import _LOG_FLOAT_MAX
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -287,7 +287,7 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
         raise DomainError("theta = 0 has no driving process; MGF is 1 exactly")
     if not isinstance(seed, RngSeed):
         raise DomainError(f"seed must be an RngSeed, got {seed!r}")
-    if not 1 <= _index("n_paths", n_paths) <= 2**32:  # path p's key needs p < 2^32
+    if not 1 <= _index("n_paths", n_paths) <= _STREAMS:  # one sub-stream per path
         raise DomainError(f"n_paths must lie in [1, 2^32], got {n_paths}")
     if _index("steps", steps) < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")

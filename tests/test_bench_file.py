@@ -78,3 +78,40 @@ def test_the_tree_digest_is_the_same_before_and_after_the_commit(tmp_path):
     (tmp_path / "src" / "b.py").unlink()
     (tmp_path / "src" / "a.py").write_text("x = 2\n")
     assert bench_file.tree_digest(tmp_path) != untracked
+
+
+def test_pairs_alternate_and_are_summarized_per_metric():
+    assert bench_file.pair_order(3) == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+    def run(metrics):
+        return {"details": DETAILS,
+                "result": {**RESULT, "metrics": {k: {"value": v, "unit": "u"}
+                                                 for k, v in metrics.items()}}}
+
+    parent = [(47.1, 100.0), (47.4, 90.0), (47.2, 110.0), (47.3, 95.0), (47.0, 105.0)]
+    change = [(39.1, 101.0), (39.0, 89.0), (39.2, 120.0), (47.5, 94.0), (38.9, 100.0)]
+    runs = [{"first": "parent", "parent": run({"rss": p, "qps": q}),
+             "change": run({"rss": c, "qps": r})}
+            for (p, q), (c, r) in zip(parent, change)]
+    end_to_end = [{"name": "rss", "better": "lower"}, {"name": "qps", "better": "higher"}]
+    summary = bench_file.summarize(runs, end_to_end)
+    assert summary["rss"] == pytest.approx({
+        "better": "lower", "change_wins": 4, "pairs": 5,
+        "parent_median": 47.2, "parent_iqr": 47.3 - 47.1,
+        "change_median": 39.1, "change_iqr": 39.2 - 39.0,
+    })
+    assert summary["qps"]["change_wins"] == 2
+    assert summary["qps"]["parent_median"] == 100.0
+    assert summary["qps"]["parent_iqr"] == pytest.approx(105.0 - 95.0)
+
+
+def test_pairs_refuse_a_clean_tree(monkeypatch, capsys):
+    # on a clean tree HEAD is the tree itself: the pairs would time it against itself
+    monkeypatch.setattr(bench_file, "_git", lambda *args, **kw: "")
+    for runner in ("_pairs", "_perfbench"):
+        monkeypatch.setattr(bench_file, runner, lambda *a: pytest.fail("ran a workload"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_file.main(["--pr", "0", "--pairs"])
+    assert exit_info.value.code == 2
+    assert "the tree is clean" in capsys.readouterr().err

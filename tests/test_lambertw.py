@@ -14,10 +14,13 @@ from logmgf import (
     TABLES,
     DomainError,
     LogMgfError,
+    McConfig,
     MgfQuery,
     lambert_w0,
     mgf_asmussen,
+    mgf_monte_carlo,
     mgf_thintile,
+    mgf_zero_entropy,
 )
 
 
@@ -152,6 +155,20 @@ def test_mgf_diagnostics():
     assert pos.diagnostics["tail_factor"] == 1.0  # no convergent remainder
     assert pos.diagnostics["tail_nodes"] == 0.0
     assert pos.diagnostics["tail_budget"] == 0.0
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.5])
+@pytest.mark.parametrize(
+    "method",
+    [mgf_zero_entropy, mgf_thintile, mgf_asmussen,
+     lambda q: mgf_monte_carlo(q, McConfig(n_samples=10_000))],
+    ids=["zero_entropy", "thin_tile", "laplace_w", "monte_carlo"],
+)
+def test_every_method_returns_floats(method, theta):
+    # numpy scalars would pass every == check; MgfEstimate documents floats
+    est = method(MgfQuery(0.0, 0.1, theta))
+    assert type(est.value) is float
+    assert est.diagnostics and all(type(v) is float for v in est.diagnostics.values())
 
 
 def test_agreement_with_tile_integration():

@@ -2,6 +2,7 @@ import math
 import os
 import queue
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -28,6 +29,10 @@ from logmgf import (
 def test_config_validation():
     with pytest.raises(DomainError):
         McConfig(n_samples=100)
+    # block b's sub-stream key needs b < 2^32
+    assert McConfig(n_samples=mc._BLOCK << 32).n_samples == 2**52
+    with pytest.raises(DomainError, match="2\\^32 blocks"):
+        McConfig(n_samples=(mc._BLOCK << 32) + 1)
 
 
 def test_theta_zero_exact():
@@ -135,13 +140,40 @@ def reference_monte_carlo(q, n, seed, block, piece=None):
     return shift + total / n, math.sqrt(var / n)
 
 
+def see(monkeypatch, sight):
+    """Forget every block key, then serve each block as `sight` says.
+
+    "first sight" streams every block. "kept" asks for each key twice, so
+    every block is drawn whole and kept before it is evaluated: a call that
+    repeats a one-block key finds it so, but one of several blocks never
+    does, since only the key streamed last is remembered.
+    """
+    monkeypatch.setattr(mc, "_kept", None)
+    monkeypatch.setattr(mc, "_streamed", None)
+    if sight == "kept":
+        normals = mc._normals
+
+        def kept(seed, block, size):
+            normals(seed, block, size)
+            x = normals(seed, block, size)
+            assert isinstance(x, np.ndarray) and not x.flags.writeable
+            return x
+
+        monkeypatch.setattr(mc, "_normals", kept)
+
+
+SIGHTS = ["first sight", "kept"]
+
+
+@pytest.mark.parametrize("sight", SIGHTS)
 @pytest.mark.parametrize("n_blocks", [1, 3])
 @pytest.mark.parametrize(
     "q", [MgfQuery(0.0, 1.0, -2.0), MgfQuery(0.3, 0.7, -5.5), MgfQuery(-0.2, 0.1, 0.4)]
 )
-def test_cached_in_place_blocks_equal_the_reference(monkeypatch, q, n_blocks):
+def test_cached_in_place_blocks_equal_the_reference(monkeypatch, q, n_blocks, sight):
     block = 20_000
     monkeypatch.setattr(mc, "_BLOCK", block)
+    see(monkeypatch, sight)
     n = block * n_blocks - 7_000  # the last block is partial
     est = mgf_monte_carlo(q, McConfig(n_samples=n, seed=RngSeed(11)))
     assert (est.value, est.diagnostics["std_error"]) == reference_monte_carlo(
@@ -150,13 +182,14 @@ def test_cached_in_place_blocks_equal_the_reference(monkeypatch, q, n_blocks):
     assert est.diagnostics["n_batches"] == float(n_blocks)
 
 
-@pytest.mark.parametrize("sharing", ["alone", "with the helper"])
+@pytest.mark.parametrize("sharing", ["streamed", "kept alone", "kept with the helper"])
 @pytest.mark.parametrize("block", [mc._PIECE + 1, 9 * mc._PIECE + 5])
 def test_spans_and_pieces_equal_the_per_piece_reference(monkeypatch, block, sharing):
     # spans of up to _SPAN pieces from the front, single pieces from the back,
     # a partial last piece in every block and a partial last block
     monkeypatch.setattr(mc, "_BLOCK", block)
-    if sharing == "alone":
+    see(monkeypatch, "first sight" if sharing == "streamed" else "kept")
+    if sharing == "kept alone":
         monkeypatch.setattr(mc, "_helper_jobs", lambda n_pieces: None)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -195,39 +228,71 @@ def test_pieces_stay_within_two_ulp_of_whole_blocks(monkeypatch, block):
     assert abs(a.diagnostics["std_error"] - std_error) <= 2.0 * math.ulp(std_error)
 
 
-def test_a_warm_call_allocates_no_block_sized_buffer():
+def test_a_warm_call_allocates_no_block_sized_buffer(monkeypatch):
+    # the first sight streams its draws through the span buffer, the second
+    # draws the block's 8 MiB of normals and keeps them, the third draws nothing
+    see(monkeypatch, "first sight")
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=1_000_000)
-    mgf_monte_carlo(q, cfg)  # draws and caches the block's 8 MiB of normals
-    tracemalloc.start()
-    try:
-        mgf_monte_carlo(q, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    mgf_monte_carlo(q, McConfig(n_samples=1_000_000, seed=RngSeed(1)))  # the span buffer
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            mgf_monte_carlo(q, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1 << 20 and peaks[2] < 1 << 20
+    assert peaks[1] >= 8 * 1_000_000
 
 
-def test_cold_cache_equals_warm_and_holds_one_read_only_block():
+def test_cold_cache_equals_warm_and_holds_one_read_only_block(monkeypatch):
+    see(monkeypatch, "first sight")
     q = MgfQuery(0.0, 1.0, -2.0)
     cfg = McConfig(n_samples=10_000, seed=RngSeed(4))
-    mc._normals.cache_clear()
-    cold = mgf_monte_carlo(q, cfg)
-    warm = mgf_monte_carlo(q, cfg)
-    assert mc._normals.cache_info().hits == 1
-    assert (cold.value, cold.diagnostics) == (warm.value, warm.diagnostics)
-    x = mc._normals(RngSeed(4), 0, 10_000)
+    first = mgf_monte_carlo(q, cfg)
+    assert mc._kept is None  # a first sight keeps nothing
+    second = mgf_monte_carlo(q, cfg)
+    key, x = mc._kept
+    assert key == (RngSeed(4), 0, 10_000)
+    third = mgf_monte_carlo(q, cfg)
+    assert mc._kept[1] is x  # served from the kept block, not redrawn
+    assert (first.value, first.diagnostics) == (second.value, second.diagnostics)
+    assert (first.value, first.diagnostics) == (third.value, third.diagnostics)
     assert not x.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
     mgf_monte_carlo(q, McConfig(n_samples=10_000, seed=RngSeed(5)))
-    assert mc._normals.cache_info().currsize == 1
+    assert mc._kept[1] is x  # the first sight of another key keeps nothing
 
 
-def test_overflow_block_matches_the_reference(monkeypatch):
+def test_a_fresh_process_starts_no_helper_on_its_first_call():
+    # two usable CPUs, so that the second call, which keeps the block, starts one
+    code = """if True:
+        import os, threading
+        os.sched_getaffinity = lambda pid: {0, 1}
+        from logmgf import MgfQuery, mgf_monte_carlo
+        def helpers():
+            return sum(t.name == "logmgf-montecarlo" for t in threading.enumerate())
+        q = MgfQuery(0.0, 1.0, -2.0)
+        mgf_monte_carlo(q)
+        first = helpers()
+        mgf_monte_carlo(q)
+        print(first, helpers())
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("sight", SIGHTS)
+def test_overflow_block_matches_the_reference(monkeypatch, sight):
     # at sigma = 1.8 the first overflowing summand falls in block 0, 1 or 2,
     # or in none of the three, depending on the seed
     block, n = 1_024, 3_000
     monkeypatch.setattr(mc, "_BLOCK", block)
+    see(monkeypatch, sight)
     q = MgfQuery(0.0, 1.8, 1.0)
     outcomes = set()
     for seed in range(8):
@@ -248,6 +313,15 @@ def serial(q, cfg):
         mp.setattr(mc, "_helper_jobs", lambda n_pieces: None)
         est = mgf_monte_carlo(q, cfg)
     return est.value, est.diagnostics
+
+
+def keep(q, cfg):
+    """serial(q, cfg), after which cfg's one block is kept: the next call
+    shares it with the helper, which a first sight would not."""
+    want = serial(q, cfg)
+    assert serial(q, cfg) == want
+    assert mc._kept[0] == (cfg.seed, 0, cfg.n_samples)
+    return want
 
 
 def helper_threads():
@@ -302,7 +376,7 @@ def test_a_stalled_helper_never_delays_the_call(monkeypatch, helper):
     # a caller that waited for it would hang until the helper's wait timed out
     q = MgfQuery(0.3, 0.7, -5.5)
     cfg = McConfig(n_samples=5 * mc._PIECE + 123, seed=RngSeed(31))
-    want = serial(q, cfg)
+    want = keep(q, cfg)
     returned, woke = threading.Event(), []
 
     def stall(real, block, start, stop, buf):
@@ -325,7 +399,7 @@ def test_a_queued_job_keeps_no_block_alive_after_its_call(monkeypatch, helper):
     # call's job waits behind it, and its block must die when the call returns
     q = MgfQuery(0.3, 0.7, -5.5)
     cfg = McConfig(n_samples=3 * mc._PIECE + 11, seed=RngSeed(23))
-    want = serial(q, cfg)
+    want = keep(q, cfg)
     blocks, returned, woke = [], threading.Event(), []
 
     class Recorded(mc._Block):
@@ -365,7 +439,7 @@ def test_racing_first_calls_start_exactly_one_helper(monkeypatch):
     monkeypatch.setattr(mc, "_jobs", None)
     monkeypatch.setattr(mc, "_usable_cpus", usable_cpus)
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=2 * mc._PIECE + 1, seed=RngSeed(5))
-    want = serial(q, cfg)
+    want = keep(q, cfg)
     before, got = helper_threads(), []
 
     def call():
@@ -388,7 +462,7 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     monkeypatch.setattr(threading, "excepthook", escaped.append)
     q = MgfQuery(-0.2, 0.1, 0.4)
     cfg = McConfig(n_samples=4 * mc._PIECE + 9, seed=RngSeed(8))
-    want = serial(q, cfg)
+    want = keep(q, cfg)
     raised = []
 
     def fail(real, block, start, stop, buf):
@@ -402,15 +476,19 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     assert escaped == [] and helper.is_alive()
 
 
-def test_concurrent_callers_each_get_their_serial_value(monkeypatch, helper):
-    # more callers than CPUs, several blocks each (the cached block thrashes),
-    # and frequent thread switches; each caller replaces the helper's job
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_concurrent_callers_each_get_their_serial_value(monkeypatch, helper, n_blocks):
+    # more callers than CPUs and frequent thread switches. One block: every
+    # caller shares the kept block with the helper and replaces its job.
+    # Three: the callers race to stream, and at times keep, each other's keys
     block = 3 * mc._PIECE + 5
     monkeypatch.setattr(mc, "_BLOCK", block)
     queries = [MgfQuery(0.3, 0.7, -5.5), MgfQuery(-0.2, 0.1, 0.4),
                MgfQuery(0.0, 1.0, -2.0), MgfQuery(0.1, 0.5, -0.5)]
-    cfg = McConfig(n_samples=2 * block + 1_000, seed=RngSeed(3))
+    cfg = McConfig(n_samples=n_blocks * block - 1_000, seed=RngSeed(3))
     want = [serial(q, cfg) for q in queries]
+    if n_blocks == 1:
+        keep(queries[0], cfg)
     got = [[] for _ in queries]
 
     def call(k):
@@ -436,12 +514,13 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(mc, "_jobs", None)
-    before = threading.enumerate()
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=300_000, seed=RngSeed(6))
+    want = keep(q, cfg)
+    before = threading.enumerate()
     est = mgf_monte_carlo(q, cfg)
     assert mc._jobs is None
     assert threading.enumerate() == before
-    assert (est.value, est.diagnostics) == serial(q, cfg)
+    assert (est.value, est.diagnostics) == want
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -449,7 +528,7 @@ def test_a_forked_child_starts_its_own_helper(helper):
     # the fork happens while another thread holds the helper's start lock,
     # which no thread of the child could ever release
     q, cfg = MgfQuery(0.3, 0.7, -5.5), McConfig(n_samples=300_000, seed=RngSeed(12))
-    want = serial(q, cfg)
+    want = keep(q, cfg)
     parent_jobs = mc._jobs
     held, release = threading.Event(), threading.Event()
 
@@ -494,6 +573,7 @@ def test_overflow_names_the_same_block_with_the_helper(monkeypatch, helper):
     monkeypatch.setattr(threading, "excepthook", escaped.append)
     block = 2 * mc._PIECE + 5
     monkeypatch.setattr(mc, "_BLOCK", block)
+    see(monkeypatch, "kept")  # so that the helper shares every block
     n = 3 * block - 1_000
     q = MgfQuery(0.0, 1.25, 1.0)
     claimed = make_the_helper_take_a_piece(

@@ -1,6 +1,6 @@
 """Write BENCH_<N>.json: every benchmark row and acceptance wall time at one tree.
 
-    python3 tools/bench_file.py --pr N
+    python3 tools/bench_file.py --pr N [--pairs]
 
 Runs perfbench/run.py for each workload of BENCHMARK.json, once untraced and
 once with --trace 1, at BENCHMARK.json's run_seconds and seed SEED. Then runs
@@ -11,6 +11,15 @@ carry the machine), the git head, whether the tree was clean, and the
 tree_digest of the files measured, which a later checkout of the commit that
 holds those files reproduces. Standard library only; run it from anywhere
 inside the checkout.
+
+With --pairs, which a clean tree refuses, it also extracts the commit HEAD
+(the parent of the change not yet committed) into a temporary directory with
+git archive, runs every workload untraced PAIRS times on each side, the
+parent first in even pairs and the change (the checkout's tree) first in odd
+ones, and removes the directory. Under "pairs" the file holds each run's
+lines and, per end-to-end metric, each side's median and interquartile range
+and how many pairs the change won. The first pair's change run then stands as
+the workload's untraced run, which is not run again.
 """
 
 from __future__ import annotations
@@ -20,13 +29,16 @@ import hashlib
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+PAIRS = 10  # the pairs a claim is judged on: the change better in 9 of 10
 # what the rows depend on: the benchmark, the code it runs, the suite and this tool
 MEASURED = ("BENCHMARK.json", "perfbench", "src", "tests", "tools")
 # "12.34s call     tests/test_acceptance.py::test_criterion_3_table3_reproduction"
@@ -59,10 +71,61 @@ def parse_durations(report: str) -> dict[str, dict]:
     return tests
 
 
-def _run(cmd: list[str], check: bool) -> subprocess.CompletedProcess:
+def pair_order(k: int) -> list[tuple[str, str]]:
+    """The sides of each of k pairs in the order they run: the parent first in even pairs."""
+    return [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(k)]
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
+    """Per end-to-end metric of BENCHMARK.json: each side's median and
+    interquartile range over the pairs, and the pairs where the change was better."""
+    summary = {}
+    for metric in end_to_end:
+        name, higher = metric["name"], metric["better"] == "higher"
+        side = {s: [run[s]["result"]["metrics"][name]["value"] for run in runs]
+                for s in ("parent", "change")}
+        wins = sum(c > p if higher else c < p for p, c in zip(side["parent"], side["change"]))
+        row = {"better": metric["better"], "change_wins": wins, "pairs": len(runs)}
+        for s, values in side.items():
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            row[f"{s}_median"], row[f"{s}_iqr"] = median, q3 - q1
+        summary[name] = row
+    return summary
+
+
+def _perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
+    out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+                "--seconds", f"{seconds:g}", "--trace", str(trace)], check=True, root=root)
+    return parse_run_output(out.stdout)
+
+
+def _pairs(spec: dict) -> dict:
+    """PAIRS alternating pairs of untraced runs of every workload: HEAD, the
+    parent, against the checkout's tree, the change."""
+    pairs = {"k": PAIRS, "parent_commit": _git("rev-parse", "HEAD"), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_file-") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        roots = {"parent": Path(tmp), "change": ROOT}
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for i, order in enumerate(pair_order(PAIRS)):
+                run = {"first": order[0]}
+                for side in order:
+                    print(f"bench_file: {workload} pair {i + 1}/{PAIRS} {side}",
+                          file=sys.stderr)
+                    run[side] = _perfbench(roots[side], workload, spec["run_seconds"], 0)
+                runs.append(run)
+            pairs["workloads"][workload] = {
+                "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
+    return pairs
+
+
+def _run(cmd: list[str], check: bool, root: Path = ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if check and out.returncode != 0:
         raise SystemExit(f"bench_file: {' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
     return out
@@ -95,27 +158,34 @@ def tree_digest(root: Path = ROOT) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="N of the BENCH_<N>.json written")
+    parser.add_argument("--pairs", action="store_true",
+                        help=f"also {PAIRS} alternating runs of HEAD and the uncommitted tree")
     args = parser.parse_args(argv)
+    clean = _git("status", "--porcelain") == ""
+    if args.pairs and clean:
+        parser.error("--pairs compares the uncommitted change with HEAD, and the tree is clean")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     bench = {
         "pr": args.pr,
-        "command": f"python3 tools/bench_file.py --pr {args.pr}",
-        "git": {"head": _git("rev-parse", "HEAD"), "clean": _git("status", "--porcelain") == "",
+        "command": f"python3 tools/bench_file.py --pr {args.pr}"
+                   + (" --pairs" if args.pairs else ""),
+        "git": {"head": _git("rev-parse", "HEAD"), "clean": clean,
                 "tree_digest": tree_digest(), "digest_covers": list(MEASURED)},
         "seed": SEED,
         "seconds": seconds,
         "workloads": {},
     }
+    if args.pairs:
+        bench["pairs"] = _pairs(spec)
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = {}
-        for trace in (0, 1):
-            print(f"bench_file: {workload} trace={trace}", file=sys.stderr)
-            out = _run([sys.executable, "perfbench/run.py", "--workload", workload,
-                        "--seed", str(SEED), "--seconds", f"{seconds:g}",
-                        "--trace", str(trace)], check=True)
-            runs["traced" if trace else "untraced"] = parse_run_output(out.stdout)
-        bench["workloads"][workload] = runs
+        print(f"bench_file: {workload}", file=sys.stderr)
+        if args.pairs:  # the first pair's change run is this tree's untraced run
+            untraced = bench["pairs"]["workloads"][workload]["runs"][0]["change"]
+        else:
+            untraced = _perfbench(ROOT, workload, seconds, 0)
+        bench["workloads"][workload] = {
+            "untraced": untraced, "traced": _perfbench(ROOT, workload, seconds, 1)}
     print("bench_file: acceptance suite", file=sys.stderr)
     t0 = perf_counter()
     out = _run([sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "-rA",
