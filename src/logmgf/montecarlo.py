@@ -10,13 +10,13 @@ first piece's mean to dodge cancellation at large sample counts.
 
 A block's normals depend on (seed, block index, block size) alone, not on the
 query. The first sight of a key keeps nothing: the caller draws the block's
-sub-stream span by span into its span buffer and evaluates each span in place,
-the first span one piece long, as that piece fixes the shift. Only when the
-next block asked for repeats the key is the block drawn whole (8 MiB at the
-full block size) and kept, read-only, in the one slot; from then on a call
-with that key, e.g. every query at the default 10^6 samples and seed 0, draws
-nothing. So a one-shot process such as `logmgf compute` never holds the 8 MiB,
-and a repeated key is drawn twice, streamed and then whole. Only the key
+sub-stream piece by piece into a 512 KiB buffer and evaluates each piece in
+place. Only when the next block asked for repeats the key is the block drawn
+whole (8 MiB at the full block size) and kept, read-only, in the one slot;
+from then on a call with that key, e.g. every query at the default 10^6
+samples and seed 0, draws nothing. So a one-shot process such as `logmgf
+compute` never holds the 8 MiB, nor more than one piece of it at a time, and a
+repeated key is drawn twice, streamed and then whole. Only the key
 streamed last is remembered, so a call of several blocks streams every one.
 The elementwise steps run in the order of the out-of-place expression
 exp(theta * exp(mu + sigma * x)) and with the same roundings, in place in a
@@ -25,9 +25,10 @@ call covers, nor on whether its normals were streamed or kept.
 
 Where more than one CPU is usable, one daemon helper thread per process shares
 the pieces of a kept block. The caller queues a weak reference to the block,
-then claims spans of _SPAN pieces from the front, in a 2 MiB buffer that each
-calling thread keeps, while the helper claims single pieces from the back in
-its own 512 KiB buffer. The caller never waits for the helper: when the claims
+then claims spans of _SPAN pieces from the front, in a 2 MiB buffer, while the
+helper claims single pieces from the back in its own 512 KiB buffer. Each
+thread keeps its buffer, which grows from a piece to a span the first time it
+evaluates a kept block. The caller never waits for the helper: when the claims
 meet, it evaluates any piece the helper has claimed but not yet stored itself,
 to the same floats. A stalled or failing helper therefore costs only the time
 of its pieces, and a job whose caller has returned claims nothing and keeps
@@ -83,7 +84,7 @@ def _normals(seed: RngSeed, block: int, size: int) -> np.ndarray | np.random.Gen
 
     The kept read-only block if its key is kept, or drawn whole and kept if
     the block streamed last had this key; otherwise the sub-stream itself,
-    from which the caller draws span by span, keeping nothing. Each global
+    from which the caller draws piece by piece, keeping nothing. Each global
     is replaced in one assignment: racing callers may redraw, never differ.
     """
     global _kept, _streamed
@@ -177,14 +178,14 @@ def _piece_sums(f: np.ndarray) -> list[float]:
     return sums
 
 
-_spans = threading.local()
+_buffers = threading.local()
 
 
-def _span_buffer(n: int) -> np.ndarray:
-    """The calling thread's span buffer, allocated on its first call and kept."""
-    buf = getattr(_spans, "buf", None)
-    if buf is None:
-        buf = _spans.buf = np.empty(_SPAN * _PIECE)
+def _buffer(n: int) -> np.ndarray:
+    """n floats of the calling thread's buffer, which grows on need and is kept."""
+    buf = getattr(_buffers, "buf", None)
+    if buf is None or len(buf) < n:
+        buf = _buffers.buf = np.empty(n)
     return buf[:n]
 
 
@@ -257,18 +258,20 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
     n_blocks = 0
     done = 0
     beyond = f"theta={q.theta!r} is beyond the finite-sample regime"
-    buf = _span_buffer(n)
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n:
             size = min(_BLOCK, n - done)
             x = _normals(cfg.seed, n_blocks, size)
+            kept = isinstance(x, np.ndarray)
+            # a streamed block's pieces are drawn as claimed: the caller claims
+            # them all, one at a time; only a kept block's are claimed in spans
+            buf = _buffer(_SPAN * _PIECE if kept else _PIECE)
             block = _Block(x, size, q, shift)
             if shift is None:
                 # piece 0 alone fixes the shift before the pieces are shared
                 block.run(buf[:_PIECE], limit=1)
                 shift = block.shift
-            # a streamed block's pieces are drawn as claimed: the caller claims them all
-            jobs = _helper_jobs(len(block.moments)) if isinstance(x, np.ndarray) else None
+            jobs = _helper_jobs(len(block.moments)) if kept else None
             if jobs is not None:
                 jobs.put(weakref.ref(block))
             block.run(buf)

@@ -9,7 +9,7 @@ through the normal quantile: x_n = mu - sigma * inverse_cdf((1 - A_n)/2).
 
 The slope rule reduces to s_n = 1 for every pair: |z|*phi(z) peaks at z = 1
 with value 1/sqrt(2*pi*e) ~ 0.242 < 1. So dA_n = 1/N and A_n = n/N, and the
-grid is closed form, built with one array call of the quantile. A grid keeps
+grid is closed form, built piece by piece with the quantile. A grid keeps
 only its nodes: every mass follows from N = len(z).
 
 The slope is taken in standardized coordinates, which makes grids for any
@@ -39,7 +39,7 @@ from .errors import DomainError, NonFiniteIntegrand, _config, _index, _instance
 from .gaussian import GaussianParams, inverse_cdf_std_array, pdf
 from .types import Method, MgfEstimate, MgfQuery
 
-_PIECE = 1 << 13  # pairs per piece of expectation_on_grid: 64 KiB temporaries
+_PIECE = 1 << 13  # pairs per piece of every grid-long loop: 64 KiB temporaries
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,9 @@ class TileGridConfig:
     n_pairs: int = 80_000
 
     def __post_init__(self):
-        if _index("n_pairs", self.n_pairs) < 2:
-            raise DomainError(f"n_pairs must be >= 2, got {self.n_pairs}")
+        # up to 2^53 every mass n/N is a quotient of exactly represented integers
+        if not 2 <= _index("n_pairs", self.n_pairs) <= 2**53:
+            raise DomainError(f"n_pairs must lie in [2, 2^53], got {self.n_pairs}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,14 @@ class TileGrid:
         return 1.0 / len(self.z)
 
     def to_csv(self, sink: TextIO) -> None:
-        """Dump `n,x_n,s_n,dA_n,A_n`, one row per pair of tiles."""
+        """Dump `n,x_n,s_n,dA_n,A_n`, one row per pair of tiles, _PIECE pairs at a time."""
         sink.write("n,x_n,s_n,dA_n,A_n\n")
         slope_and_mass = f"1.0,{self.tile_mass!r}"
-        for n, x in enumerate(self.coordinates[1:].tolist(), 1):
-            sink.write(f"{n},{x!r},{slope_and_mass},{n / len(self.z)!r}\n")
+        for start in range(1, len(self.z), _PIECE):
+            with np.errstate(over="ignore"):  # x_n as the coordinates property gives it
+                xs = self.mu + self.sigma * self.z[start : start + _PIECE]
+            for n, x in enumerate(xs.tolist(), start):
+                sink.write(f"{n},{x!r},{slope_and_mass},{n / len(self.z)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,15 @@ def _standard_grid(n_pairs: int) -> np.ndarray:
     """Nodes of the grid for N(0, 1) in closed form; shared by every affine image.
 
     Every slope is 1 (see the module docstring), so pair n carries mass 1/N,
-    A_n = n/N and z_n = -inverse_cdf((1 - A_n)/2) for n = 1 .. N - 1.
+    A_n = n/N and z_n = -inverse_cdf((1 - A_n)/2) for n = 1 .. N - 1. The
+    quantile works element by element, so it runs on _PIECE nodes at a time
+    and only the result is grid-sized.
     """
-    areas = np.arange(1, n_pairs, dtype=np.float64) / n_pairs
-    z = np.concatenate(([0.0], -inverse_cdf_std_array((1.0 - areas) / 2.0)))
+    z = np.empty(n_pairs)
+    z[0] = 0.0
+    for start in range(1, n_pairs, _PIECE):
+        areas = np.arange(start, min(start + _PIECE, n_pairs), dtype=np.float64) / n_pairs
+        z[start : start + len(areas)] = -inverse_cdf_std_array((1.0 - areas) / 2.0)
     z.flags.writeable = False
     return z
 

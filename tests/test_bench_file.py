@@ -94,8 +94,10 @@ def test_pairs_alternate_and_are_summarized_per_metric():
     runs = [{"first": "parent", "parent": run({"rss": p, "qps": q}),
              "change": run({"rss": c, "qps": r})}
             for (p, q), (c, r) in zip(parent, change)]
-    end_to_end = [{"name": "rss", "better": "lower"}, {"name": "qps", "better": "higher"}]
+    end_to_end = [{"name": "rss", "better": "lower", "bound": 0.1},
+                  {"name": "qps", "better": "higher", "bound": 0.25}]
     summary = bench_file.summarize(runs, end_to_end)
+    assert summary["rss"].pop("verdict") == "same"  # 4 wins in 5 carry no gain
     assert summary["rss"] == pytest.approx({
         "better": "lower", "change_wins": 4, "pairs": 5,
         "parent_median": 47.2, "parent_iqr": 47.3 - 47.1,
@@ -104,6 +106,42 @@ def test_pairs_alternate_and_are_summarized_per_metric():
     assert summary["qps"]["change_wins"] == 2
     assert summary["qps"]["parent_median"] == 100.0
     assert summary["qps"]["parent_iqr"] == pytest.approx(105.0 - 95.0)
+
+
+def test_each_metric_gets_its_verdict_against_its_bound():
+    def run(metrics):
+        return {"details": DETAILS,
+                "result": {**RESULT, "metrics": {k: {"value": v, "unit": "u"}
+                                                 for k, v in metrics.items()}}}
+
+    ten = range(10)
+    sides = {
+        # lower in 9 of 10 pairs, by far more than the parent's IQR
+        "rss": ([47.0 + 0.1 * i for i in ten], [39.0 + 0.1 * i for i in ten[:-1]] + [48.0]),
+        # lower in every pair, but by less than the parent's IQR of 4.5
+        "p50": ([100.0 + i for i in ten], [99.0 + i for i in ten]),
+        # 30% slower than the parent, past the bound of 25%
+        "tail": ([100.0 + i for i in ten], [130.0 + i for i in ten]),
+        # the parent's IQR, 100, is more than 25% of its median
+        "qps": ([50.0, 250.0] * 5, [150.0 + i for i in ten]),
+        "rate": ([1.0] * 10, [1.0] * 10),
+    }
+    runs = [{"first": "parent",
+             "parent": run({k: v[0][i] for k, v in sides.items()}),
+             "change": run({k: v[1][i] for k, v in sides.items()})} for i in ten]
+    end_to_end = [{"name": "rss", "better": "lower", "bound": 0.1},
+                  {"name": "p50", "better": "lower", "bound": 0.25},
+                  {"name": "tail", "better": "lower", "bound": 0.25},
+                  {"name": "qps", "better": "higher", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.01}]
+    summary = bench_file.summarize(runs, end_to_end)
+    assert {name: row["verdict"] for name, row in summary.items()} == {
+        "rss": "gain", "p50": "same", "tail": "worse", "qps": "unresolved", "rate": "same"}
+    assert summary["rss"]["change_wins"] == 9 and summary["p50"]["change_wins"] == 10
+    # a higher-is-better metric gains as the lower-is-better one did
+    row = {**summary["rss"], "better": "higher", "parent_median": 39.45,
+           "change_median": 47.45, "change_wins": 9}
+    assert bench_file.verdict(row, 0.1) == "gain"
 
 
 def test_pairs_refuse_a_clean_tree(monkeypatch, capsys):

@@ -113,11 +113,14 @@ def test_usage_error_exit_code(capsys):
         ["table", "--id", "2", "--mc-samples", "10"],
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--mc-samples",
          "100000000000000000000"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--methods", "tile",
+         "--n-pairs", "100000000000000000000"],
     ],
     ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0",
          "paths-sigma-underflow", "compute-seed-negative", "compute-seed-65-bits",
          "table-seed-negative", "compute-steps-5", "compute-n-pairs-1",
-         "compute-mc-samples-10", "table-mc-samples-10", "compute-mc-samples-1e20"],
+         "compute-mc-samples-10", "table-mc-samples-10", "compute-mc-samples-1e20",
+         "compute-n-pairs-1e20"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

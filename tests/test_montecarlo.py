@@ -246,6 +246,55 @@ def test_a_warm_call_allocates_no_block_sized_buffer(monkeypatch):
     assert peaks[1] >= 8 * 1_000_000
 
 
+def test_a_first_sight_holds_one_piece_of_draws(monkeypatch):
+    # a fresh thread has no buffer yet: streaming a block needs one piece of
+    # it, and only a kept block, evaluated a span at a time, grows it
+    see(monkeypatch, "first sight")
+    q = MgfQuery(0.0, 1.0, -2.0)
+    mgf_monte_carlo(q, McConfig(n_samples=1_000_000, seed=RngSeed(8)))  # imports, untraced
+    cfg = McConfig(n_samples=1_000_000, seed=RngSeed(7))
+    seen = []
+
+    def fresh_thread():
+        tracemalloc.start()
+        try:
+            mgf_monte_carlo(q, cfg)
+            seen.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        seen.append(len(mc._buffers.buf))
+        mgf_monte_carlo(q, cfg)  # keeps the block
+        seen.append(len(mc._buffers.buf))
+
+    thread = threading.Thread(target=fresh_thread)
+    thread.start()
+    thread.join()
+    # 517 KiB, where a 2 MiB span buffer peaked at 2,053 KiB
+    assert seen[0] < 1 << 20
+    assert seen[1:] == [mc._PIECE, mc._SPAN * mc._PIECE]
+
+
+# (value, std_error) in hex, as the estimator gave them when every thread
+# evaluated in a 2 MiB span buffer: the buffer's size must not move a bit
+PINNED = [
+    (MgfQuery(0.0, 1.0, -2.0), 1_000_000, 0, "0x1.bab03a7f4aa1bp-3", "0x1.dade41d16fbacp-13"),
+    (MgfQuery(-0.2, 0.1, 0.4), 70_001, 5, "0x1.6400b573f2aaep+0", "0x1.6d16d0e0ce55cp-13"),
+    (MgfQuery(0.3, 0.7, -5.5), 2_500_000, 3, "0x1.13991935cc6afp-6", "0x1.dd99a7d562724p-16"),
+]
+
+
+@pytest.mark.parametrize("q, n, seed, value, std_error", PINNED)
+def test_streamed_kept_and_hit_calls_keep_their_bits(monkeypatch, q, n, seed, value,
+                                                      std_error):
+    # a one-block key is streamed, then kept, then hit; three blocks stream thrice
+    see(monkeypatch, "first sight")
+    cfg = McConfig(n_samples=n, seed=RngSeed(seed))
+    for _ in range(3):
+        est = mgf_monte_carlo(q, cfg)
+        assert (est.value.hex(), est.diagnostics["std_error"].hex()) == (value, std_error)
+    assert (mc._kept is not None and mc._kept[0] == (cfg.seed, 0, n)) == (n <= mc._BLOCK)
+
+
 def test_cold_cache_equals_warm_and_holds_one_read_only_block(monkeypatch):
     see(monkeypatch, "first sight")
     q = MgfQuery(0.0, 1.0, -2.0)

@@ -44,6 +44,12 @@ def quad_expectation(f, mu, sigma):
 def test_config_validation():
     with pytest.raises(DomainError):
         TileGridConfig(n_pairs=1)
+    # up to 2^53 every mass n/N is a quotient of exact integers; past it numpy
+    # refused 10^20 with a ValueError and built 2^63 as a grid of 0 pairs
+    assert TileGridConfig(n_pairs=2**53).n_pairs == 2**53
+    for n_pairs in (2**53 + 1, 2**63, 10**20):
+        with pytest.raises(DomainError, match="2\\^53"):
+            TileGridConfig(n_pairs=n_pairs)
 
 
 def test_first_pair_forced_by_construction():
@@ -430,6 +436,44 @@ def test_a_warm_call_allocates_no_grid_sized_temporaries():
     # the pieces' temporaries only: 587 KiB, where building all 80,000
     # coordinates first peaked at 1,148 KiB
     assert peak < 768 * (1 << 10)
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3, tt._PIECE, tt._PIECE + 1, tt._PIECE + 2,
+                                     2 * tt._PIECE + 1, 80_000])
+def test_the_grid_built_in_pieces_equals_the_one_call_formula(n_pairs):
+    areas = np.arange(1, n_pairs, dtype=np.float64) / n_pairs
+    whole = np.concatenate(([0.0], -inverse_cdf_std_array((1.0 - areas) / 2.0)))
+    assert np.array_equal(tt._standard_grid(n_pairs), whole)
+
+
+def test_a_cold_grid_build_holds_only_piece_sized_temporaries():
+    tt._standard_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        tt._standard_grid(80_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 625 KiB grid and one piece's quantile temporaries: about 1.25 MiB,
+    # where the one-call formula peaked at 5.5 MiB
+    assert peak < 1.5 * (1 << 20)
+
+
+def test_a_grid_dump_holds_one_piece_of_rows():
+    class Discard:
+        def write(self, text):
+            pass
+
+    grid = build_grid(GaussianParams(0.3, 0.7), TileGridConfig())
+    tracemalloc.start()
+    try:
+        grid.to_csv(Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one piece's coordinates as floats: about 320 KiB, where listing all
+    # 80,000 coordinates at once peaked at 3.1 MiB
+    assert peak < 512 * (1 << 10)
 
 
 # every mgf_thintile / mgf_asmussen table value: (thin_tile, laplace_w). The

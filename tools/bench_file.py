@@ -17,9 +17,10 @@ With --pairs, which a clean tree refuses, it also extracts the commit HEAD
 git archive, runs every workload untraced PAIRS times on each side, the
 parent first in even pairs and the change (the checkout's tree) first in odd
 ones, and removes the directory. Under "pairs" the file holds each run's
-lines and, per end-to-end metric, each side's median and interquartile range
-and how many pairs the change won. The first pair's change run then stands as
-the workload's untraced run, which is not run again.
+lines and, per end-to-end metric, each side's median and interquartile range,
+how many pairs the change won, and a verdict against the metric's bound (see
+verdict). The first pair's change run then stands as the workload's untraced
+run, which is not run again.
 """
 
 from __future__ import annotations
@@ -76,9 +77,31 @@ def pair_order(k: int) -> list[tuple[str, str]]:
     return [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(k)]
 
 
+def verdict(row: dict, bound: float) -> str:
+    """The change against the parent on one metric of a summary row.
+
+    "gain": the change won at least 9 pairs in 10 and its median is better by
+    more than the parent's interquartile range. "worse": its median is worse
+    by more than bound times the parent's median. "unresolved": neither, and
+    a side's interquartile range exceeds bound times that side's median.
+    "same": none of these.
+    """
+    better_by = row["change_median"] - row["parent_median"]
+    if row["better"] == "lower":
+        better_by = -better_by
+    if 10 * row["change_wins"] >= 9 * row["pairs"] and better_by > row["parent_iqr"]:
+        return "gain"
+    if -better_by > bound * abs(row["parent_median"]):
+        return "worse"
+    if any(row[f"{s}_iqr"] > bound * abs(row[f"{s}_median"]) for s in ("parent", "change")):
+        return "unresolved"
+    return "same"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     """Per end-to-end metric of BENCHMARK.json: each side's median and
-    interquartile range over the pairs, and the pairs where the change was better."""
+    interquartile range over the pairs, the pairs where the change was better,
+    and the verdict against the metric's bound."""
     summary = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -89,6 +112,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
         for s, values in side.items():
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             row[f"{s}_median"], row[f"{s}_iqr"] = median, q3 - q1
+        row["verdict"] = verdict(row, metric["bound"])
         summary[name] = row
     return summary
 
