@@ -197,18 +197,25 @@ def _print_table_text(reports: list[dict], table_id: int, out) -> None:
 def _cmd_compute(args) -> int:
     q = MgfQuery(mu=args.mu, sigma=args.sigma, theta=args.theta)
     RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
-    report = _run_report(q, _runners(args.methods, args))
+    dumps = []  # (path, write): a dump's config is input too, checked before any output
     if args.dump_grid:
-        grid = build_grid(q, TileGridConfig(n_pairs=args.n_pairs))
-        with open(args.dump_grid, "w") as fh:
-            grid.to_csv(fh)
-    if args.dump_trajectory:
-        if q.theta == 0.0:
-            print("trajectory dump skipped: theta = 0 has no trajectory", file=sys.stderr)
-        else:
-            with open(args.dump_trajectory, "w") as fh:
-                trajectory_csv(q, ZeroEntropyConfig(steps=args.steps), fh)
+        grid_cfg = TileGridConfig(n_pairs=args.n_pairs)
+        dumps.append((args.dump_grid, lambda fh: build_grid(q, grid_cfg).to_csv(fh)))
+    if args.dump_trajectory and q.theta == 0.0:
+        print("trajectory dump skipped: theta = 0 has no trajectory", file=sys.stderr)
+    elif args.dump_trajectory:
+        ze_cfg = ZeroEntropyConfig(steps=args.steps)
+        dumps.append((args.dump_trajectory, lambda fh: trajectory_csv(q, ze_cfg, fh)))
+    report = _run_report(q, _runners(args.methods, args))
     _emit([report], args.format)
+    sys.stdout.flush()  # the report stands whatever a dump then raises
+    for path, write in dumps:
+        try:
+            with open(path, "w") as fh:
+                write(fh)
+        except OSError as exc:
+            exc.filename = exc.filename or path  # a failed write names no file
+            raise
     return 1 if any("error" in r for r in report["results"]) else 0
 
 
@@ -329,28 +336,26 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     A DomainError (bad input) exits 2 and any other LogMgfError exits 1, each
-    with one line on stderr instead of a traceback; so does a MemoryError, as
-    from a size too large to allocate. A reader that closes the output early,
-    as `| head` does, ends the run quietly with exit 1.
+    with one line on stderr instead of a traceback; so do a MemoryError and an
+    OSError, as from a size too large to allocate or an output that cannot be
+    written. A reader that closes stdout early (`| head`) ends the run quietly, exit 1.
     """
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return code
-    except LogMgfError as exc:
-        print(f"logmgf: error: {exc}", file=sys.stderr)
+    except (LogMgfError, MemoryError, OSError) as exc:
+        if not isinstance(exc, BrokenPipeError):  # a closed reader is not an error
+            what = "out of memory: " if isinstance(exc, MemoryError) else ""
+            print(f"logmgf: error: {what}{exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout cannot take its output: let the exit flush write nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2 if isinstance(exc, DomainError) else 1
-    except MemoryError as exc:
-        print(f"logmgf: error: out of memory: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # stdout still holds unwritten output: point it at devnull so the
-        # interpreter's flush at exit does not raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
 
 
 if __name__ == "__main__":

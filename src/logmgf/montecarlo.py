@@ -24,17 +24,17 @@ reused buffer, so a piece's sums do not depend on how many pieces one numpy
 call covers, nor on whether its normals were streamed or kept.
 
 Where more than one CPU is usable, one daemon helper thread per process shares
-the pieces of a kept block. The caller queues a weak reference to the block,
-then claims spans of _SPAN pieces from the front, in a 2 MiB buffer, while the
-helper claims single pieces from the back in its own 512 KiB buffer. Each
-thread keeps its buffer, which grows from a piece to a span the first time it
-evaluates a kept block. The caller never waits for the helper: when the claims
-meet, it evaluates any piece the helper has claimed but not yet stored itself,
-to the same floats. A stalled or failing helper therefore costs only the time
-of its pieces, and a job whose caller has returned claims nothing and keeps
-nothing alive. A streamed block is drawn in the order its pieces are claimed,
-so its caller evaluates it alone: on one usable CPU, or before a key repeats,
-no helper starts.
+the pieces of a kept block. The caller queues a weak reference to the block
+and claims spans of _SPAN pieces from the front; the helper's job is the same
+claim loop from the back, run(front=False), one piece at a time. Each thread
+evaluates in its own kept buffer from _buffer: one piece in the helper and for
+a streamed block, a 2 MiB span once the thread is the caller of a kept block.
+The caller never waits for the helper: when the claims meet, it evaluates any
+piece the helper has claimed but not yet stored itself. A stalled or failing
+helper therefore costs only the time of its pieces, and a job whose caller has
+returned claims nothing and keeps nothing alive. A streamed block is drawn in
+the order its pieces are claimed, so its caller evaluates it alone: on one
+usable CPU, or before a key repeats, no helper starts.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ def _normals(seed: RngSeed, block: int, size: int) -> np.ndarray | np.random.Gen
 class _Block:
     """The pieces of one block, claimed from both ends.
 
-    The caller claims spans of up to _SPAN pieces from the front and the
-    helper single pieces from the back, so when the claims meet at most one
-    of the helper's pieces is still being evaluated. A span is evaluated with
-    one numpy call per step, and each call hands the interpreter lock over
-    at most twice: the fewer the caller makes, the less often it sleeps until
-    the helper lets go of the lock.
+    The caller of a kept block claims spans of up to _SPAN pieces from the
+    front and the helper single pieces from the back, so when the claims meet
+    at most one of the helper's pieces is still being evaluated. A span is
+    evaluated with one numpy call per step, and each call hands the
+    interpreter lock over at most twice: the fewer the caller makes, the less
+    often it sleeps until the helper lets go of the lock.
     """
 
     def __init__(self, x: np.ndarray | np.random.Generator, size: int, q: MgfQuery,
@@ -122,16 +122,19 @@ class _Block:
         self.moments: list[tuple[float, float] | None] = [None] * n_pieces
         self._claims = threading.Lock()
         self._front, self._back = 0, n_pieces  # pieces not yet claimed
+        if shift is None:  # piece 0 alone fixes the shift before the pieces are shared
+            self.evaluate(0, 1)
+            self._front = 1
 
-    def evaluate(self, start: int, stop: int, buf: np.ndarray) -> None:
-        """Store the moments of pieces start..stop-1 about the shift.
+    def evaluate(self, start: int, stop: int) -> None:
+        """Store the moments of pieces start..stop-1 about the shift, in _buffer.
 
         Without a shift, the one piece evaluated sets it to its mean. A
-        streamed block draws the pieces' normals into buf here: its caller
-        alone claims them, front to back, so they are drawn in stream order.
+        streamed block draws the pieces' normals here: its caller alone
+        claims them, front to back, so they are drawn in stream order.
         """
         lo = start * _PIECE
-        f = buf[: min(stop * _PIECE, self.size) - lo]
+        f = _buffer(min(stop * _PIECE, self.size) - lo)
         q = self.q
         # x * sigma + mu rounds as mu + sigma * x does: both ops commute
         if isinstance(self.x, np.ndarray):
@@ -151,11 +154,11 @@ class _Block:
         for i, moments in enumerate(zip(sums, _piece_sums(f)), start):
             self.moments[i] = moments
 
-    def run(self, buf: np.ndarray, front: bool = True, limit: int = -1) -> None:
-        """Claim up to len(buf) // _PIECE pieces at a time from one end and
-        evaluate them, until none is left or, if limit >= 0, after limit claims."""
-        span = max(1, len(buf) // _PIECE)
-        while limit != 0:
+    def run(self, front: bool = True) -> None:
+        """Claim pieces from one end and evaluate them until none is left:
+        _SPAN at a time from the front of a kept block, else one."""
+        span = _SPAN if front and isinstance(self.x, np.ndarray) else 1
+        while True:
             with self._claims:
                 if front:
                     start = self._front
@@ -165,8 +168,7 @@ class _Block:
                     self._back = start = max(stop - span, self._front)
             if start == stop:
                 return
-            self.evaluate(start, stop, buf)
-            limit -= 1
+            self.evaluate(start, stop)
 
 
 def _piece_sums(f: np.ndarray) -> list[float]:
@@ -190,14 +192,13 @@ def _buffer(n: int) -> np.ndarray:
 
 
 def _serve(jobs) -> None:
-    buf = np.empty(_PIECE)
     # the error state is per thread; a new thread starts from the default
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             block = jobs.get()()  # None once the block's caller has returned
             try:
                 if block is not None:
-                    block.run(buf, front=False)
+                    block.run(front=False)
             except Exception:
                 pass  # the caller evaluates every piece left unstored, and raises
             block = None  # hold no block of normals while idle
@@ -262,22 +263,16 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
         while done < n:
             size = min(_BLOCK, n - done)
             x = _normals(cfg.seed, n_blocks, size)
-            kept = isinstance(x, np.ndarray)
-            # a streamed block's pieces are drawn as claimed: the caller claims
-            # them all, one at a time; only a kept block's are claimed in spans
-            buf = _buffer(_SPAN * _PIECE if kept else _PIECE)
             block = _Block(x, size, q, shift)
-            if shift is None:
-                # piece 0 alone fixes the shift before the pieces are shared
-                block.run(buf[:_PIECE], limit=1)
-                shift = block.shift
-            jobs = _helper_jobs(len(block.moments)) if kept else None
+            shift = block.shift
+            # a streamed block's pieces are drawn as claimed: its caller claims them all
+            jobs = _helper_jobs(len(block.moments)) if isinstance(x, np.ndarray) else None
             if jobs is not None:
                 jobs.put(weakref.ref(block))
-            block.run(buf)
+            block.run()
             for i, moments in enumerate(block.moments):
                 if moments is None:  # claimed by the helper, not yet stored
-                    block.evaluate(i, i + 1, buf)
+                    block.evaluate(i, i + 1)
             for total, squares in block.moments:
                 piece_sums.append(total)
                 piece_sqs.append(squares)
@@ -288,7 +283,6 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
                     )
             done += size
             n_blocks += 1
-    assert shift is not None
     shifted_sum = math.fsum(piece_sums)
     mean = shift + shifted_sum / n
     try:

@@ -80,6 +80,36 @@ def test_the_tree_digest_is_the_same_before_and_after_the_commit(tmp_path):
     assert bench_file.tree_digest(tmp_path) != untracked
 
 
+def test_the_parent_side_runs_the_changes_benchmark_on_heads_code(tmp_path):
+    repo, parent = tmp_path / "repo", tmp_path / "parent"
+    repo.mkdir()
+    parent.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    for name, text in {"BENCHMARK.json": "{}\n", "perfbench/run.py": "old = 1\n",
+                       "perfbench/gone.py": "", "src/a.py": "x = 1\n"}.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "BENCHMARK.json").write_text('{"v": 2}\n')
+    (repo / "perfbench" / "run.py").write_text("new = 2\n")
+    (repo / "perfbench" / "gone.py").unlink()
+    (repo / "perfbench" / "__pycache__").mkdir()
+    (repo / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"")
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    bench_file.parent_tree(parent, repo)
+    assert (parent / "perfbench" / "run.py").read_text() == "new = 2\n"
+    assert (parent / "BENCHMARK.json").read_text() == '{"v": 2}\n'
+    assert not (parent / "perfbench" / "gone.py").exists()
+    assert not (parent / "perfbench" / "__pycache__").exists()
+    assert (parent / "src" / "a.py").read_text() == "x = 1\n"
+
+
 def test_pairs_alternate_and_are_summarized_per_metric():
     assert bench_file.pair_order(3) == [
         ("parent", "change"), ("change", "parent"), ("parent", "change")]

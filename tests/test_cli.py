@@ -272,6 +272,62 @@ def test_a_closed_pipe_ends_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+_DUMPED = ["compute", "--mu", "0", "--sigma", "1", "--theta", "-1", "--methods", "zero,tile",
+           "--n-pairs", "200"]
+
+
+@pytest.mark.parametrize(
+    "flag, path, reason",
+    [
+        ("--dump-trajectory", ".", "Is a directory"),
+        ("--dump-grid", "missing/grid.csv", "No such file or directory"),
+        ("--dump-grid", "/dev/full", "No space left on device: '/dev/full'"),
+    ],
+    ids=["a-directory", "in-a-missing-directory", "a-full-device"],
+)
+def test_a_dump_that_cannot_be_written_ends_in_one_line_after_the_report(
+        tmp_path, capsys, flag, path, reason):
+    if path.startswith("/dev/") and not os.path.exists(path):
+        pytest.skip(f"no {path} here")
+    want = _mask_timings(run_cli(capsys, *_DUMPED)[1])
+    assert main([*_DUMPED, flag, str(tmp_path / path)]) == 1  # an absolute path stays
+    captured = capsys.readouterr()
+    assert _mask_timings(captured.out) == want
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("logmgf: error: ") and reason in err[0]
+
+
+def test_a_diverging_trajectory_keeps_the_report_and_its_rows(tmp_path, capsys):
+    # zero_entropy's Euler loop diverges at step 73 of 2000, in the report and the dump alike
+    argv = ["compute", "--mu", "0", "--sigma", "1", "--theta", "5", "--methods", "zero,tile"]
+    want = _mask_timings(run_cli(capsys, *argv)[1])
+    traj = tmp_path / "traj.csv"
+    assert main([*argv, "--dump-trajectory", str(traj)]) == 1
+    captured = capsys.readouterr()
+    assert _mask_timings(captured.out) == want and "thin_tile" in want
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("logmgf: error: diverged at step 73")
+    rows = traj.read_text().splitlines()
+    assert rows[0] == "i,t,m,v" and len(rows) == 75 and rows[-1].startswith("73,")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--mu", "0", "--sigma", "1", "--theta", "-1", "--methods", "zero,tile"],
+     ["table", "--id", "1", "--mc-samples", "10000", "--format", "json"],
+     ["paths", "--mu", "0", "--sigma", "0.5", "--theta", "-1", "--n", "1000", "--steps", "50"]],
+    ids=["compute", "table", "paths"],
+)
+def test_a_full_stdout_ends_in_one_line(argv):
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "logmgf.cli", *argv], stdout=full,
+                               stderr=subprocess.PIPE, text=True, timeout=120)
+    assert child.returncode == 1
+    # nothing else: no traceback, and no "Exception ignored" from the flush at exit
+    assert child.stderr.splitlines() == ["logmgf: error: [Errno 28] No space left on device"]
+
+
 # adversarial floats next to ordinary ones; "--flag=value" keeps "-inf" a value
 _ADVERSARIAL = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0])
 _FORMAT = st.sampled_from(["text", "csv", "json"])

@@ -387,7 +387,7 @@ def helper(monkeypatch):
     served = queue.SimpleQueue()
 
     class Probe:  # run as a block is, from the back
-        def run(self, buf, front):
+        def run(self, front):
             served.put(threading.current_thread())
 
     probe = Probe()
@@ -398,22 +398,22 @@ def helper(monkeypatch):
 
 
 def make_the_helper_take_a_piece(monkeypatch, helper, in_helper):
-    """Patch _Block: once the shift is fixed, the caller's first claim waits
-    (10 s at most) until the helper has claimed a piece, and in_helper
-    evaluates each piece the helper claims."""
+    """Patch _Block: the caller's claims from the front, which follow the
+    shift piece, wait (10 s at most) until the helper has claimed a piece,
+    and in_helper evaluates each piece the helper claims."""
     evaluate, run = mc._Block.evaluate, mc._Block.run
     claimed = threading.Event()
 
-    def helper_evaluate(block, start, stop, buf):
+    def helper_evaluate(block, start, stop):
         if threading.current_thread() is not helper:
-            return evaluate(block, start, stop, buf)
+            return evaluate(block, start, stop)
         claimed.set()
-        in_helper(evaluate, block, start, stop, buf)
+        in_helper(evaluate, block, start, stop)
 
-    def caller_run(block, buf, front=True, limit=-1):
-        if front and block.shift is not None:
+    def caller_run(block, front=True):
+        if front:
             claimed.wait(10)
-        return run(block, buf, front, limit)
+        return run(block, front)
 
     monkeypatch.setattr(mc._Block, "evaluate", helper_evaluate)
     monkeypatch.setattr(mc._Block, "run", caller_run)
@@ -428,9 +428,9 @@ def test_a_stalled_helper_never_delays_the_call(monkeypatch, helper):
     want = keep(q, cfg)
     returned, woke = threading.Event(), []
 
-    def stall(real, block, start, stop, buf):
+    def stall(real, block, start, stop):
         woke.append(returned.wait(10))
-        real(block, start, stop, buf)
+        real(block, start, stop)
 
     claimed = make_the_helper_take_a_piece(monkeypatch, helper, stall)
     est = mgf_monte_carlo(q, cfg)
@@ -456,9 +456,9 @@ def test_a_queued_job_keeps_no_block_alive_after_its_call(monkeypatch, helper):
             super().__init__(*args)
             blocks.append(weakref.ref(self))
 
-    def stall(real, block, start, stop, buf):
+    def stall(real, block, start, stop):
         woke.append(returned.wait(10))
-        real(block, start, stop, buf)
+        real(block, start, stop)
 
     monkeypatch.setattr(mc, "_Block", Recorded)
     claimed = make_the_helper_take_a_piece(monkeypatch, helper, stall)
@@ -514,7 +514,7 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     want = keep(q, cfg)
     raised = []
 
-    def fail(real, block, start, stop, buf):
+    def fail(real, block, start, stop):
         raised.append(start)
         raise MemoryError("injected")
 
@@ -523,6 +523,28 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     assert claimed.is_set() and raised
     assert (est.value, est.diagnostics) == want
     assert escaped == [] and helper.is_alive()
+
+
+def test_the_helper_evaluates_in_a_buffer_of_one_piece(monkeypatch, helper):
+    # the helper claims single pieces, so the buffer _buffer gives its thread
+    # is one piece, never the caller's span; no piece of this block is partial
+    q = MgfQuery(0.3, 0.7, -5.5)
+    cfg = McConfig(n_samples=6 * mc._PIECE, seed=RngSeed(29))
+    want = keep(q, cfg)
+    lengths = []
+
+    def record(real, block, start, stop):
+        real(block, start, stop)
+        lengths.append(len(mc._buffers.buf))
+
+    claimed = make_the_helper_take_a_piece(monkeypatch, helper, record)
+    est = mgf_monte_carlo(q, cfg)
+    assert claimed.is_set()
+    assert (est.value, est.diagnostics) == want
+    deadline = time.monotonic() + 10
+    while not lengths and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert lengths and set(lengths) == {mc._PIECE}
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3])

@@ -14,11 +14,13 @@ inside the checkout.
 
 With --pairs, which a clean tree refuses, it also extracts the commit HEAD
 (the parent of the change not yet committed) into a temporary directory with
-git archive, runs every workload untraced PAIRS times on each side, the
-parent first in even pairs and the change (the checkout's tree) first in odd
-ones, and removes the directory. Under "pairs" the file holds each run's
-lines and, per end-to-end metric, each side's median and interquartile range,
-how many pairs the change won, and a verdict against the metric's bound (see
+git archive, replaces its benchmark (BENCHMARK.json and perfbench/) with the
+checkout's, so that both sides run the same benchmark on their own src/,
+runs every workload untraced PAIRS times on each side, the parent first in
+even pairs and the change (the checkout's tree) first in odd ones, and
+removes the directory. Under "pairs" the file holds each run's lines and,
+per end-to-end metric, each side's median and interquartile range, how many
+pairs the change won, and a verdict against the metric's bound (see
 verdict). The first pair's change run then stands as the workload's untraced
 run, which is not run again.
 """
@@ -30,6 +32,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -123,14 +126,26 @@ def _perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
     return parse_run_output(out.stdout)
 
 
+def parent_tree(dest: Path, root: Path = ROOT) -> None:
+    """Extract HEAD into dest, with root's BENCHMARK.json and perfbench/ in
+    place of HEAD's. HEAD's perfbench/ goes first, so that a file the change
+    removed is not left behind; no __pycache__ is copied."""
+    archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=root,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    (dest / "BENCHMARK.json").write_bytes((root / "BENCHMARK.json").read_bytes())
+    shutil.rmtree(dest / "perfbench", ignore_errors=True)
+    shutil.copytree(root / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+
 def _pairs(spec: dict) -> dict:
     """PAIRS alternating pairs of untraced runs of every workload: HEAD, the
-    parent, against the checkout's tree, the change."""
-    pairs = {"k": PAIRS, "parent_commit": _git("rev-parse", "HEAD"), "workloads": {}}
+    parent, against the checkout's tree, the change, both on the change's benchmark."""
+    pairs = {"k": PAIRS, "parent_commit": _git("rev-parse", "HEAD"),
+             "benchmark_from": "change", "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_file-") as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        parent_tree(Path(tmp))
         roots = {"parent": Path(tmp), "change": ROOT}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = []
