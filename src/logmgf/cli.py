@@ -48,14 +48,12 @@ _ALIASES = {m.value: m for m in Method} | {
 def _parse_methods(spec: str) -> list[Method]:
     if spec.strip().lower() == "all":
         return list(_METHOD_ORDER)
-    out = []
+    out = set()
     for name in spec.split(","):
         key = name.strip().lower()
         if key not in _ALIASES:
             raise argparse.ArgumentTypeError(f"unknown method {name!r}")
-        m = _ALIASES[key]
-        if m not in out:
-            out.append(m)
+        out.add(_ALIASES[key])
     if not out:
         raise argparse.ArgumentTypeError("no methods selected")
     return [m for m in _METHOD_ORDER if m in out]

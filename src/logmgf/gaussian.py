@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,32 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_executor = None  # made by _pool on first use
+_executor_lock = threading.Lock()
+
+
+def _pool():
+    """The process's one ThreadPoolExecutor, of _usable_cpus() threads named
+    logmgf_*; once the interpreter is shutting down, it or its submit raises RuntimeError."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            # imported here: `logmgf compute` would pay about 10 ms for it at import
+            from concurrent.futures import ThreadPoolExecutor
+
+            _executor = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="logmgf")
+        return _executor
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads, and the lock may have been held at the fork
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def pdf(x: float, p: GaussianParams) -> float:

@@ -23,24 +23,23 @@ exp(theta * exp(mu + sigma * x)) and with the same roundings, in place in a
 reused buffer, so a piece's sums do not depend on how many pieces one numpy
 call covers, nor on whether its normals were streamed or kept.
 
-Where more than one CPU is usable, one daemon helper thread per process shares
-the pieces of a kept block. The caller queues a weak reference to the block
-and claims spans of _SPAN pieces from the front; the helper's job is the same
-claim loop from the back, run(front=False), one piece at a time. Each thread
+Where more than one CPU is usable, the helper, a job on the process's worker
+pool, shares the pieces of a kept block. The caller submits _help with a weak
+reference to the block and claims spans of _SPAN pieces from the front; the
+helper runs run(front=False), one piece at a time from the back. Each thread
 evaluates in its own kept buffer from _buffer: one piece in the helper and for
 a streamed block, a 2 MiB span once the thread is the caller of a kept block.
-The caller never waits for the helper: when the claims meet, it evaluates any
-piece the helper has claimed but not yet stored itself. A stalled or failing
-helper therefore costs only the time of its pieces, and a job whose caller has
-returned claims nothing and keeps nothing alive. A streamed block is drawn in
-the order its pieces are claimed, so its caller evaluates it alone: on one
-usable CPU, or before a key repeats, no helper starts.
+The caller never waits for the helper, but evaluates any piece it has claimed
+and not yet stored, so a stalled, failing or refused helper (the pool refuses
+jobs once the interpreter is shutting down) costs only time, and a job whose
+caller has returned claims nothing and keeps nothing alive. A streamed block is
+drawn in the order its pieces are claimed, so its caller evaluates it alone:
+on one usable CPU, or before a key repeats, no helper job is submitted.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, DomainError, _config, _index, _instance
-from .gaussian import _STREAMS, RngSeed, _usable_cpus
+from .gaussian import _STREAMS, RngSeed, _pool, _usable_cpus
 from .types import Method, MgfEstimate, MgfQuery
 
 _BLOCK = 1 << 20  # draws per sub-stream; another size draws other streams
@@ -191,47 +190,11 @@ def _buffer(n: int) -> np.ndarray:
     return buf[:n]
 
 
-def _serve(jobs) -> None:
-    # the error state is per thread; a new thread starts from the default
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            block = jobs.get()()  # None once the block's caller has returned
-            try:
-                if block is not None:
-                    block.run(front=False)
-            except Exception:
-                pass  # the caller evaluates every piece left unstored, and raises
-            block = None  # hold no block of normals while idle
-
-
-_jobs = None  # the helper's queue.SimpleQueue of weak references to blocks
-_starting = threading.Lock()
-
-
-def _helper_jobs(n_pieces: int):
-    """The helper's job queue, its thread started on first need; None if it cannot help."""
-    global _jobs
-    if n_pieces < 2:
-        return None
-    if _jobs is None and _usable_cpus() > 1:
-        with _starting:
-            if _jobs is None:
-                import queue  # here, not on every import of the CLI
-                jobs = queue.SimpleQueue()
-                threading.Thread(
-                    target=_serve, args=(jobs,), name="logmgf-montecarlo", daemon=True
-                ).start()
-                _jobs = jobs
-    return _jobs
-
-
-def _forget_helper() -> None:
-    # a forked child has no helper thread, and a lock may have been held at the fork
-    global _jobs, _starting
-    _jobs, _starting = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
+def _help(ref: weakref.ref) -> None:
+    block = ref()  # None once its caller has returned; an exception stays in the unread future
+    if block is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # the state is per thread
+            block.run(front=False)
 
 
 def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
@@ -266,9 +229,11 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
             block = _Block(x, size, q, shift)
             shift = block.shift
             # a streamed block's pieces are drawn as claimed: its caller claims them all
-            jobs = _helper_jobs(len(block.moments)) if isinstance(x, np.ndarray) else None
-            if jobs is not None:
-                jobs.put(weakref.ref(block))
+            if isinstance(x, np.ndarray) and len(block.moments) > 1 and _usable_cpus() > 1:
+                try:
+                    _pool().submit(_help, weakref.ref(block))
+                except RuntimeError:  # the interpreter is shutting down
+                    pass
             block.run()
             for i, moments in enumerate(block.moments):
                 if moments is None:  # claimed by the helper, not yet stored

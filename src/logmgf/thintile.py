@@ -140,16 +140,19 @@ def _evaluate(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
 
     f is called element-wise when it rejects the array with a TypeError (as
     math.cos does) or returns another shape. Any other exception propagates
-    from the one array call.
+    from the one array call. Values that are not real numbers (of bool,
+    integer or float dtype) raise DomainError, complex ones included.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.asarray(f(xs), dtype=np.float64)
-        if out.shape == xs.shape:
-            return out
+            out = np.asarray(f(xs))
     except TypeError:
-        pass
-    return np.asarray([f(float(x)) for x in xs], dtype=np.float64)
+        out = None
+    if out is None or out.shape != xs.shape:
+        out = np.asarray([f(float(x)) for x in xs])
+    if out.dtype.kind not in "biuf":
+        raise DomainError(f"f must return real numbers, got values of dtype {out.dtype}")
+    return out.astype(np.float64, copy=False)
 
 
 def _exact_parts(w: np.ndarray) -> list[float]:

@@ -46,7 +46,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PathOverflow, _config, _index, _instance
-from .gaussian import _STREAMS, RngSeed, _usable_cpus
+from .gaussian import _STREAMS, RngSeed, _pool, _usable_cpus
 from .lambertw import _LOG_FLOAT_MAX
 from .types import Method, MgfEstimate, MgfQuery
 
@@ -276,11 +276,12 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     Path p draws its shocks from the sub-stream keyed by (seed, p), so the
     ensemble is identical however the paths are batched or ordered. Blocks of
     _PATH_BLOCK paths are stepped a chunk of steps at a time, with shocks in
-    one buffer of at most _SHOCK_FLOATS doubles. One thread per usable CPU
-    draws a contiguous share of the block's rows (numpy releases the GIL while
-    it draws); the caller alone steps, since threads stepping at once pass the
-    GIL to each other on every ufunc call. Exploding paths (positive theta)
-    are excluded and counted; if every path explodes, PathOverflow is raised.
+    one buffer of at most _SHOCK_FLOATS doubles. The worker pool draws a
+    contiguous share of the block's rows per usable CPU (numpy releases the
+    GIL while it draws); the caller draws a share the pool refuses, and alone
+    steps, since threads stepping at once pass the GIL to each other on every
+    ufunc call. Exploding paths (positive theta) are excluded and counted; if
+    every path explodes, PathOverflow is raised.
     """
     _instance("q", q, MgfQuery)
     if q.theta == 0.0:
@@ -312,14 +313,11 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
         rows = shocks[share]
         for row, stream in zip(rows, streams[share]):
             stream.standard_normal(out=row)
-        # the error state is per thread; a new thread starts from the default
+        # the error state is per thread; a pool thread runs with the default
         with np.errstate(over="ignore"):
             rows *= shock_scale
 
-    # imported here: `logmgf compute` would pay about 10 ms for it at module level
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_paths, _PATH_BLOCK):
             stop = min(start + _PATH_BLOCK, n_paths)
             streams = seed.substreams(start, stop)
@@ -328,7 +326,14 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
             drift = np.empty_like(y)
             for first in range(0, steps, chunk):
                 shocks = buffer[: stop - start, : min(chunk, steps - first)]
-                list(pool.map(draw, range(workers)))
+                jobs = []
+                for worker in range(workers):  # one at a time: a refused share is drawn once
+                    try:
+                        jobs.append(_pool().submit(draw, worker))
+                    except RuntimeError:  # the interpreter is shutting down
+                        draw(worker)
+                for job in jobs:
+                    job.result()
                 for dw in shocks.T:
                     np.exp(y, out=drift)
                     drift *= pull

@@ -110,6 +110,38 @@ def test_the_parent_side_runs_the_changes_benchmark_on_heads_code(tmp_path):
     assert (parent / "src" / "a.py").read_text() == "x = 1\n"
 
 
+def test_a_stale_parent_tree_is_emptied_before_extraction(tmp_path, monkeypatch):
+    # a run killed part-way through its pairs leaves its copy of HEAD behind;
+    # the next run empties that one fixed directory before it extracts
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    for name in ("BENCHMARK.json", "perfbench/run.py"):
+        (repo / name).write_text("{}\n")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+    tree = repo / ".perfbench-out" / "parent-tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "src" / "stale.py").write_text("from an interrupted run\n")
+    bench_file.parent_tree(tree, repo)
+    assert not (tree / "src" / "stale.py").exists()
+    assert (tree / "perfbench" / "run.py").read_text() == "{}\n"
+    # and _pairs removes the tree after its pairs, however they end
+    monkeypatch.setattr(bench_file, "PARENT_TREE", tree)
+    monkeypatch.setattr(bench_file, "ROOT", repo)
+    monkeypatch.setattr(bench_file, "_git", lambda *args, **kw: "head")
+
+    def interrupted(root, *args):
+        assert root == tree and not (tree / "src").exists()  # extracted from repo's HEAD
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench_file, "_perfbench", interrupted)
+    spec = {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": []}
+    with pytest.raises(KeyboardInterrupt):
+        bench_file._pairs(spec)
+    assert not tree.exists()
+
+
 def test_pairs_alternate_and_are_summarized_per_metric():
     assert bench_file.pair_order(3) == [
         ("parent", "change"), ("change", "parent"), ("parent", "change")]

@@ -200,6 +200,23 @@ def test_an_integrand_that_is_not_callable_raises_domain_error(f):
 
 
 @pytest.mark.parametrize(
+    "f, dtype",
+    [(lambda x: "a", "<U1"), (lambda x: 1j * x * x, "complex128")],
+    ids=["text", "complex"],
+)
+def test_an_integrand_without_real_values_raises_domain_error(f, dtype):
+    # text once escaped as numpy's ValueError; a complex value lost its
+    # imaginary part to a ComplexWarning, and 1j * x^2 averaged to 0.0
+    cfg = TileGridConfig(n_pairs=100)
+    grid = build_grid(Q, cfg)
+    for run in (lambda: expectation(f, Q, cfg), lambda: expectation_on_grid(f, grid)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"f must return real numbers.*{dtype}"):
+                run()
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: MgfQuery("0", 1.0, 1.0),

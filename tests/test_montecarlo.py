@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
+import logmgf.gaussian as gaussian
 import logmgf.montecarlo as mc
 from logmgf import (
     DivergenceError,
@@ -190,7 +191,7 @@ def test_spans_and_pieces_equal_the_per_piece_reference(monkeypatch, block, shar
     monkeypatch.setattr(mc, "_BLOCK", block)
     see(monkeypatch, "first sight" if sharing == "streamed" else "kept")
     if sharing == "kept alone":
-        monkeypatch.setattr(mc, "_helper_jobs", lambda n_pieces: None)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     q = MgfQuery(0.3, 0.7, -5.5)
@@ -316,23 +317,25 @@ def test_cold_cache_equals_warm_and_holds_one_read_only_block(monkeypatch):
 
 
 def test_a_fresh_process_starts_no_helper_on_its_first_call():
-    # two usable CPUs, so that the second call, which keeps the block, starts one
+    # two usable CPUs, so that the second call, which keeps the block, makes
+    # the pool and submits the helper, whose job starts one pool thread
     code = """if True:
         import os, threading
         os.sched_getaffinity = lambda pid: {0, 1}
+        import logmgf.gaussian
         from logmgf import MgfQuery, mgf_monte_carlo
         def helpers():
-            return sum(t.name == "logmgf-montecarlo" for t in threading.enumerate())
+            return sum(t.name.startswith("logmgf_") for t in threading.enumerate())
         q = MgfQuery(0.0, 1.0, -2.0)
         mgf_monte_carlo(q)
-        first = helpers()
+        first = helpers(), logmgf.gaussian._executor is None
         mgf_monte_carlo(q)
-        print(first, helpers())
+        print(*first, helpers())
     """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "1"]
+    assert out.stdout.split() == ["0", "True", "1"]
 
 
 @pytest.mark.parametrize("sight", SIGHTS)
@@ -357,9 +360,9 @@ def test_overflow_block_matches_the_reference(monkeypatch, sight):
 
 
 def serial(q, cfg):
-    """(value, diagnostics) with the helper disabled: the caller evaluates every piece."""
+    """(value, diagnostics) on one usable CPU: no helper, the caller evaluates every piece."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mc, "_helper_jobs", lambda n_pieces: None)
+        mp.setattr(mc, "_usable_cpus", lambda: 1)
         est = mgf_monte_carlo(q, cfg)
     return est.value, est.diagnostics
 
@@ -374,27 +377,43 @@ def keep(q, cfg):
 
 
 def helper_threads():
-    return [t for t in threading.enumerate() if t.name == "logmgf-montecarlo"]
+    return [t for t in threading.enumerate() if t.name.startswith("logmgf_")]
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No worker pool yet, as in a fresh process; a pool the test makes is shut down after it."""
+    monkeypatch.setattr(gaussian, "_executor", None)
+    yield
+    if gaussian._executor is not None:
+        gaussian._executor.shutdown()
 
 
 @pytest.fixture
 def helper(monkeypatch):
-    """The thread that serves the process's helper jobs, started even where
-    one CPU is usable; found by queueing a job that records its thread."""
+    """The thread that runs every helper job: the one thread of a pool that
+    stands in for the process's, with two usable CPUs whatever the machine.
+    Found by submitting a helper job that records its thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    jobs = mc._helper_jobs(2)
-    assert jobs is not None
+    pool = ThreadPoolExecutor(1, thread_name_prefix="logmgf")
+    monkeypatch.setattr(gaussian, "_executor", pool)
     served = queue.SimpleQueue()
 
     class Probe:  # run as a block is, from the back
         def run(self, front):
-            served.put(threading.current_thread())
+            served.put((threading.current_thread(), front))
 
     probe = Probe()
-    jobs.put(weakref.ref(probe))
-    thread = served.get(timeout=10)
-    assert thread in helper_threads() and thread.is_alive()
-    return thread
+    try:
+        gaussian._pool().submit(mc._help, weakref.ref(probe))
+        thread, front = served.get(timeout=10)
+        assert front is False
+        assert thread in helper_threads() and thread.is_alive()
+        yield thread
+    finally:
+        pool.shutdown()
 
 
 def make_the_helper_take_a_piece(monkeypatch, helper, in_helper):
@@ -475,21 +494,35 @@ def test_a_queued_job_keeps_no_block_alive_after_its_call(monkeypatch, helper):
     assert woke == [True] and blocks[0]() is None  # released, the helper lets it go
 
 
-def test_racing_first_calls_start_exactly_one_helper(monkeypatch):
-    # every caller finds no helper before any of them starts one, so only
-    # the check under the start lock keeps them from starting four
+def test_racing_first_calls_make_exactly_one_pool(monkeypatch, fresh_pool):
+    # every caller reaches the pool's lock before any of them enters it, so
+    # only the check under the lock keeps them from making four pools
+    import concurrent.futures
+
     callers = 4
     arrived = threading.Barrier(callers)
+    made, executor = [], concurrent.futures.ThreadPoolExecutor
 
-    def usable_cpus():
-        arrived.wait(10)
-        return 2
+    class Gate:
+        lock = threading.Lock()
 
-    monkeypatch.setattr(mc, "_jobs", None)
-    monkeypatch.setattr(mc, "_usable_cpus", usable_cpus)
+        def __enter__(self):
+            arrived.wait(10)
+            self.lock.acquire()
+
+        def __exit__(self, *exc_info):
+            self.lock.release()
+
+    def counted(*args, **kwargs):
+        made.append(executor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(gaussian, "_executor_lock", Gate())
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=2 * mc._PIECE + 1, seed=RngSeed(5))
     want = keep(q, cfg)
-    before, got = helper_threads(), []
+    got = []
 
     def call():
         est = mgf_monte_carlo(q, cfg)
@@ -502,8 +535,7 @@ def test_racing_first_calls_start_exactly_one_helper(monkeypatch):
         t.join(timeout=30)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * callers
-    assert mc._jobs is not None
-    assert len(helper_threads()) == len(before) + 1
+    assert len(made) == 1 and gaussian._executor is made[0]
 
 
 def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
@@ -523,6 +555,7 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     assert claimed.is_set() and raised
     assert (est.value, est.diagnostics) == want
     assert escaped == [] and helper.is_alive()
+    assert gaussian._pool().submit(threading.current_thread).result(timeout=10) is helper
 
 
 def test_the_helper_evaluates_in_a_buffer_of_one_piece(monkeypatch, helper):
@@ -581,30 +614,73 @@ def test_concurrent_callers_each_get_their_serial_value(monkeypatch, helper, n_b
     assert got == [[w] * 4 for w in want]
 
 
-def test_one_usable_cpu_starts_no_helper(monkeypatch):
+def test_one_usable_cpu_starts_no_helper(monkeypatch, fresh_pool):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(mc, "_jobs", None)
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=300_000, seed=RngSeed(6))
     want = keep(q, cfg)
     before = threading.enumerate()
     est = mgf_monte_carlo(q, cfg)
-    assert mc._jobs is None
+    assert gaussian._executor is None
     assert threading.enumerate() == before
     assert (est.value, est.diagnostics) == want
 
 
+def test_a_refused_helper_leaves_every_piece_to_the_caller(monkeypatch):
+    # the process's pool refuses jobs once the interpreter is shutting down
+    submitted = []
+
+    class Refusing:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(gaussian, "_executor", Refusing())
+    q, cfg = MgfQuery(0.3, 0.7, -5.5), McConfig(n_samples=5 * mc._PIECE + 7, seed=RngSeed(2))
+    want = keep(q, cfg)
+    est = mgf_monte_carlo(q, cfg)
+    assert submitted == [mc._help]
+    assert (est.value, est.diagnostics) == want
+
+
+def test_an_exit_handler_gets_the_values_of_the_main_phase():
+    # at exit the pool refuses jobs: Monte Carlo's caller evaluates every
+    # piece of a kept block, and the path simulator draws every share itself
+    code = """if True:
+        import atexit, hashlib, os
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import logmgf.montecarlo as mc
+        from logmgf import MgfQuery, RngSeed, mgf_monte_carlo, simulate_paths
+        def run():
+            mc._kept = mc._streamed = None
+            q = MgfQuery(0.0, 0.5, -1.0)
+            estimates = [mgf_monte_carlo(q) for _ in range(3)]  # streamed, kept, hit
+            values = [(e.value.hex(), e.diagnostics["std_error"].hex()) for e in estimates]
+            paths = simulate_paths(q, 64, 10, RngSeed(1)).terminal_values
+            print(values, hashlib.sha256(paths.tobytes()).hexdigest(), flush=True)
+        run()
+        atexit.register(run)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    main, at_exit = out.stdout.splitlines()
+    assert main == at_exit
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_starts_its_own_helper(helper):
-    # the fork happens while another thread holds the helper's start lock,
-    # which no thread of the child could ever release
+def test_a_forked_child_makes_its_own_pool(helper):
+    # the fork happens while another thread holds the pool's lock, which no
+    # thread of the child could ever release; the child has none of the
+    # parent's pool threads, so it must make a pool of its own
     q, cfg = MgfQuery(0.3, 0.7, -5.5), McConfig(n_samples=300_000, seed=RngSeed(12))
     want = keep(q, cfg)
-    parent_jobs = mc._jobs
+    parent_pool = gaussian._pool()
     held, release = threading.Event(), threading.Event()
 
     def hold():
-        with mc._starting:
+        with gaussian._executor_lock:
             held.set()
             release.wait(60)
 
@@ -619,7 +695,8 @@ def test_a_forked_child_starts_its_own_helper(helper):
             code = 1
             try:
                 est = mgf_monte_carlo(q, cfg)
-                fresh = mc._jobs is not None and mc._jobs is not parent_jobs
+                pool = gaussian._executor
+                fresh = pool is not None and pool is not parent_pool and helper_threads()
                 code = 0 if fresh and (est.value, est.diagnostics) == want else 1
             finally:
                 os._exit(code)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logmgf.gaussian as gaussian
 import logmgf.zeroentropy as ze
 from logmgf import (
     DivergenceError,
@@ -490,6 +491,30 @@ def test_paths_match_unthreaded_reference(
     assert ens.n_paths == n_paths - n_overflowed
     if q.theta > 0.0:
         assert 0 < n_overflowed < n_paths
+
+
+@pytest.mark.parametrize("accepted", [0, 1, 4])
+def test_shares_the_pool_refuses_are_drawn_once_by_the_caller(monkeypatch, accepted):
+    # a pool that takes the first `accepted` shares and then refuses every
+    # job, as the process's pool does once the interpreter is shutting down:
+    # three shares per chunk, one chunk per block, three blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pool, taken, refused = gaussian._pool(), [], []
+
+    class Refusing:
+        def submit(self, fn, *args):
+            if len(taken) == accepted:
+                refused.append(args)
+                raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+            taken.append(args)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(gaussian, "_executor", Refusing())
+    q = MgfQuery(0.0, 0.25, -4.0)
+    expected, _ = _unthreaded_simulate(q, 2500, 300, RngSeed(42))
+    ens = simulate_paths(q, 2500, 300, RngSeed(42))
+    assert np.array_equal(ens.terminal_values, expected)
+    assert (len(taken), len(refused)) == (accepted, 9 - accepted)
 
 
 def test_paths_hold_one_small_shock_buffer():

@@ -13,12 +13,14 @@ holds those files reproduces. Standard library only; run it from anywhere
 inside the checkout.
 
 With --pairs, which a clean tree refuses, it also extracts the commit HEAD
-(the parent of the change not yet committed) into a temporary directory with
-git archive, replaces its benchmark (BENCHMARK.json and perfbench/) with the
+(the parent of the change not yet committed) into PARENT_TREE with git
+archive, replaces its benchmark (BENCHMARK.json and perfbench/) with the
 checkout's, so that both sides run the same benchmark on their own src/,
 runs every workload untraced PAIRS times on each side, the parent first in
 even pairs and the change (the checkout's tree) first in odd ones, and
-removes the directory. Under "pairs" the file holds each run's lines and,
+removes the directory. PARENT_TREE is one fixed, gitignored directory that
+every run empties before it extracts, so a run that was killed leaves at
+most that one copy behind, until the next run. Under "pairs" the file holds each run's lines and,
 per end-to-end metric, each side's median and interquartile range, how many
 pairs the change won, and a verdict against the metric's bound (see
 verdict). The first pair's change run then stands as the workload's untraced
@@ -36,13 +38,13 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 PAIRS = 10  # the pairs a claim is judged on: the change better in 9 of 10
+PARENT_TREE = ROOT / ".perfbench-out" / "parent-tree"  # HEAD's side of the pairs
 # what the rows depend on: the benchmark, the code it runs, the suite and this tool
 MEASURED = ("BENCHMARK.json", "perfbench", "src", "tests", "tools")
 # "12.34s call     tests/test_acceptance.py::test_criterion_3_table3_reproduction"
@@ -127,9 +129,11 @@ def _perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
 
 
 def parent_tree(dest: Path, root: Path = ROOT) -> None:
-    """Extract HEAD into dest, with root's BENCHMARK.json and perfbench/ in
-    place of HEAD's. HEAD's perfbench/ goes first, so that a file the change
-    removed is not left behind; no __pycache__ is copied."""
+    """Extract HEAD into dest, emptied first, with root's BENCHMARK.json and
+    perfbench/ in place of HEAD's. HEAD's perfbench/ goes first, so that a
+    file the change removed is not left behind; no __pycache__ is copied."""
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=root,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
@@ -144,9 +148,9 @@ def _pairs(spec: dict) -> dict:
     parent, against the checkout's tree, the change, both on the change's benchmark."""
     pairs = {"k": PAIRS, "parent_commit": _git("rev-parse", "HEAD"),
              "benchmark_from": "change", "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench_file-") as tmp:
-        parent_tree(Path(tmp))
-        roots = {"parent": Path(tmp), "change": ROOT}
+    parent_tree(PARENT_TREE, ROOT)
+    roots = {"parent": PARENT_TREE, "change": ROOT}
+    try:
         for workload in (w["name"] for w in spec["workloads"]):
             runs = []
             for i, order in enumerate(pair_order(PAIRS)):
@@ -158,6 +162,8 @@ def _pairs(spec: dict) -> dict:
                 runs.append(run)
             pairs["workloads"][workload] = {
                 "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
+    finally:
+        shutil.rmtree(PARENT_TREE, ignore_errors=True)
     return pairs
 
 
