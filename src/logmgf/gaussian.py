@@ -170,15 +170,15 @@ _executor_lock = threading.Lock()
 
 
 def _pool():
-    """The process's one ThreadPoolExecutor, of _usable_cpus() threads named
-    logmgf_*; once the interpreter is shutting down, it or its submit raises RuntimeError."""
+    """The process's one ThreadPoolExecutor, of max(usable CPUs - 1, 1) threads named logmgf_*
+    as every caller works too; at interpreter shutdown it or its submit raises RuntimeError."""
     global _executor
     with _executor_lock:
         if _executor is None:
             # imported here: `logmgf compute` would pay about 10 ms for it at import
             from concurrent.futures import ThreadPoolExecutor
 
-            _executor = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="logmgf")
+            _executor = ThreadPoolExecutor(max(_usable_cpus() - 1, 1), thread_name_prefix="logmgf")
         return _executor
 
 

@@ -24,17 +24,19 @@ reused buffer, so a piece's sums do not depend on how many pieces one numpy
 call covers, nor on whether its normals were streamed or kept.
 
 Where more than one CPU is usable, the helper, a job on the process's worker
-pool, shares the pieces of a kept block. The caller submits _help with a weak
-reference to the block and claims spans of _SPAN pieces from the front; the
-helper runs run(front=False), one piece at a time from the back. Each thread
-evaluates in its own kept buffer from _buffer: one piece in the helper and for
-a streamed block, a 2 MiB span once the thread is the caller of a kept block.
-The caller never waits for the helper, but evaluates any piece it has claimed
-and not yet stored, so a stalled, failing or refused helper (the pool refuses
-jobs once the interpreter is shutting down) costs only time, and a job whose
-caller has returned claims nothing and keeps nothing alive. A streamed block is
-drawn in the order its pieces are claimed, so its caller evaluates it alone:
-on one usable CPU, or before a key repeats, no helper job is submitted.
+pool, shares the pieces of a kept block; the pool keeps one thread fewer than
+those CPUs, so on two, back-to-back calls queue their helpers on one thread.
+The caller submits _help with a weak reference to the block and claims spans
+of _SPAN pieces from the front; the helper runs run(front=False), one piece
+at a time from the back. Each thread evaluates in its own kept buffer from
+_buffer: one piece in the helper and for a streamed block, a 2 MiB span once
+the thread is the caller of a kept block. The caller never waits for the
+helper, but evaluates any piece it has claimed and not yet stored, so a
+stalled, failing or refused helper (the pool refuses jobs once the
+interpreter is shutting down) costs only time, and a job whose caller has
+returned claims nothing and keeps nothing alive. A streamed block is drawn in
+the order its pieces are claimed, so its caller evaluates it alone: on one
+usable CPU, or before a key repeats, no helper job is submitted.
 """
 
 from __future__ import annotations

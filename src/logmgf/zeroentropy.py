@@ -276,12 +276,12 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
     Path p draws its shocks from the sub-stream keyed by (seed, p), so the
     ensemble is identical however the paths are batched or ordered. Blocks of
     _PATH_BLOCK paths are stepped a chunk of steps at a time, with shocks in
-    one buffer of at most _SHOCK_FLOATS doubles. The worker pool draws a
-    contiguous share of the block's rows per usable CPU (numpy releases the
-    GIL while it draws); the caller draws a share the pool refuses, and alone
-    steps, since threads stepping at once pass the GIL to each other on every
-    ufunc call. Exploding paths (positive theta) are excluded and counted; if
-    every path explodes, PathOverflow is raised.
+    one buffer of at most _SHOCK_FLOATS doubles. Each usable CPU draws a
+    contiguous share of the block's rows (numpy releases the GIL while it
+    draws): the caller share 0 and any the worker pool refuses, the pool the
+    rest. The caller alone steps, as threads stepping at once pass the GIL
+    to each other on every ufunc call. Exploding paths (positive theta) are
+    excluded and counted; if every path explodes, PathOverflow is raised.
     """
     _instance("q", q, MgfQuery)
     if q.theta == 0.0:
@@ -327,11 +327,12 @@ def simulate_paths(q: MgfQuery, n_paths: int, steps: int, seed: RngSeed) -> Path
             for first in range(0, steps, chunk):
                 shocks = buffer[: stop - start, : min(chunk, steps - first)]
                 jobs = []
-                for worker in range(workers):  # one at a time: a refused share is drawn once
+                for worker in range(1, workers):  # one at a time: a refused share is drawn once
                     try:
                         jobs.append(_pool().submit(draw, worker))
                     except RuntimeError:  # the interpreter is shutting down
                         draw(worker)
+                draw(0)
                 for job in jobs:
                     job.result()
                 for dw in shocks.T:

@@ -162,8 +162,8 @@ def test_pairs_alternate_and_are_summarized_per_metric():
     assert summary["rss"].pop("verdict") == "same"  # 4 wins in 5 carry no gain
     assert summary["rss"] == pytest.approx({
         "better": "lower", "change_wins": 4, "pairs": 5,
-        "parent_median": 47.2, "parent_iqr": 47.3 - 47.1,
-        "change_median": 39.1, "change_iqr": 39.2 - 39.0,
+        "parent_median": 47.2, "parent_iqr": 47.3 - 47.1, "parent_spread": 0.2 / 47.2,
+        "change_median": 39.1, "change_iqr": 39.2 - 39.0, "change_spread": 0.2 / 39.1,
     })
     assert summary["qps"]["change_wins"] == 2
     assert summary["qps"]["parent_median"] == 100.0
@@ -204,6 +204,32 @@ def test_each_metric_gets_its_verdict_against_its_bound():
     row = {**summary["rss"], "better": "higher", "parent_median": 39.45,
            "change_median": 47.45, "change_wins": 9}
     assert bench_file.verdict(row, 0.1) == "gain"
+
+
+def test_each_side_reports_its_spread_beside_the_verdict():
+    # the spread is what the verdict weighs against the bound: a reader sees
+    # how near a verdict sits to turning unresolved
+    def run(metrics):
+        return {"details": DETAILS,
+                "result": {**RESULT, "metrics": {k: {"value": v, "unit": "u"}
+                                                 for k, v in metrics.items()}}}
+
+    sides = {
+        # spreads of 0.24 and 0.26, on either side of the bound of 0.25
+        "p50": ([76.0, 88.0, 100.0, 112.0, 124.0], [74.0, 87.0, 100.0, 113.0, 126.0]),
+        # a median of 0 scales nothing
+        "dev": ([0.0, 0.0, 0.0, 0.1, 0.2], [0.0] * 5),
+    }
+    runs = [{"first": "parent",
+             "parent": run({k: v[0][i] for k, v in sides.items()}),
+             "change": run({k: v[1][i] for k, v in sides.items()})} for i in range(5)]
+    summary = bench_file.summarize(runs, [{"name": "p50", "better": "lower", "bound": 0.25},
+                                          {"name": "dev", "better": "lower", "bound": 0.1}])
+    p50, dev = summary["p50"], summary["dev"]
+    assert (p50["parent_spread"], p50["change_spread"]) == pytest.approx((0.24, 0.26))
+    assert p50["verdict"] == "unresolved"  # by the change's side alone
+    assert (dev["parent_spread"], dev["change_spread"]) == (None, None)
+    assert dev["verdict"] == "unresolved"  # the parent's range of 0.1 about a median of 0
 
 
 def test_pairs_refuse_a_clean_tree(monkeypatch, capsys):

@@ -626,6 +626,26 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch, fresh_pool):
     assert (est.value, est.diagnostics) == want
 
 
+def test_back_to_back_calls_on_two_cpus_keep_one_helper_thread(monkeypatch, fresh_pool):
+    # the caller is one of the two workers, so the pool has one thread: a
+    # helper job submitted while the last one still runs waits for it instead
+    # of starting a second thread, with a second piece-long buffer
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    queries = [MgfQuery(0.3, 0.7, -5.5), MgfQuery(-0.2, 0.1, 0.4),
+               MgfQuery(0.0, 1.0, -2.0), MgfQuery(0.1, 0.5, -0.5)]
+    cfg = McConfig(n_samples=8 * mc._PIECE, seed=RngSeed(17))
+    want = [serial(q, cfg) for q in queries]
+    keep(queries[0], cfg)
+    before = helper_threads()
+    for i in range(200):
+        est = mgf_monte_carlo(queries[i % 4], cfg)
+        assert (est.value, est.diagnostics) == want[i % 4]
+    started = [t for t in helper_threads() if t not in before]
+    assert len(started) == 1
+    buf = gaussian._pool().submit(lambda: getattr(mc._buffers, "buf", None)).result(timeout=10)
+    assert buf is not None and len(buf) == mc._PIECE
+
+
 def test_a_refused_helper_leaves_every_piece_to_the_caller(monkeypatch):
     # the process's pool refuses jobs once the interpreter is shutting down
     submitted = []

@@ -497,7 +497,8 @@ def test_paths_match_unthreaded_reference(
 def test_shares_the_pool_refuses_are_drawn_once_by_the_caller(monkeypatch, accepted):
     # a pool that takes the first `accepted` shares and then refuses every
     # job, as the process's pool does once the interpreter is shutting down:
-    # three shares per chunk, one chunk per block, three blocks
+    # three shares per chunk, two of them offered to the pool, one chunk per
+    # block, three blocks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     pool, taken, refused = gaussian._pool(), [], []
 
@@ -514,7 +515,18 @@ def test_shares_the_pool_refuses_are_drawn_once_by_the_caller(monkeypatch, accep
     expected, _ = _unthreaded_simulate(q, 2500, 300, RngSeed(42))
     ens = simulate_paths(q, 2500, 300, RngSeed(42))
     assert np.array_equal(ens.terminal_values, expected)
-    assert (len(taken), len(refused)) == (accepted, 9 - accepted)
+    assert (len(taken), len(refused)) == (accepted, 6 - accepted)
+
+
+def test_one_usable_cpu_draws_every_share_without_a_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(gaussian, "_executor", None)
+    q = MgfQuery(0.0, 0.25, -4.0)
+    expected, _ = _unthreaded_simulate(q, 2500, 300, RngSeed(42))
+    ens = simulate_paths(q, 2500, 300, RngSeed(42))
+    assert gaussian._executor is None
+    assert np.array_equal(ens.terminal_values, expected)
 
 
 def test_paths_hold_one_small_shock_buffer():

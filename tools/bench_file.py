@@ -21,9 +21,9 @@ even pairs and the change (the checkout's tree) first in odd ones, and
 removes the directory. PARENT_TREE is one fixed, gitignored directory that
 every run empties before it extracts, so a run that was killed leaves at
 most that one copy behind, until the next run. Under "pairs" the file holds each run's lines and,
-per end-to-end metric, each side's median and interquartile range, how many
-pairs the change won, and a verdict against the metric's bound (see
-verdict). The first pair's change run then stands as the workload's untraced
+per end-to-end metric, each side's median, interquartile range and spread (the
+range over the median), how many pairs the change won, and a verdict against
+the metric's bound (see verdict). The first pair's change run then stands as the workload's untraced
 run, which is not run again.
 """
 
@@ -104,9 +104,11 @@ def verdict(row: dict, bound: float) -> str:
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
-    """Per end-to-end metric of BENCHMARK.json: each side's median and
-    interquartile range over the pairs, the pairs where the change was better,
-    and the verdict against the metric's bound."""
+    """Per end-to-end metric of BENCHMARK.json: each side's median,
+    interquartile range and spread over the pairs, the pairs where the change
+    was better, and the verdict against the metric's bound. A side's spread,
+    its interquartile range over its median (None at a median of 0), is what
+    verdict weighs against the bound to call a metric unresolved."""
     summary = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -117,6 +119,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
         for s, values in side.items():
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             row[f"{s}_median"], row[f"{s}_iqr"] = median, q3 - q1
+            row[f"{s}_spread"] = (q3 - q1) / abs(median) if median else None
         row["verdict"] = verdict(row, metric["bound"])
         summary[name] = row
     return summary
