@@ -128,10 +128,7 @@ def _print_report_text(report: dict, out) -> None:
     for r in report["results"]:
         ms = report["timings"][r["method"]]
         if "value" in r:
-            line = f"  {r['method']:<13} {_fmt(r['value']):>14}"
-            if "paper_value" in r:
-                line += f"  paper={_fmt(r['paper_value'])}"
-            line += f"  [{ms:.1f} ms]"
+            line = f"  {r['method']:<13} {_fmt(r['value']):>14}  [{ms:.1f} ms]"
         else:
             line = f"  {r['method']:<13} ERROR: {r['error']}  [{ms:.1f} ms]"
         out.write(line + "\n")
@@ -239,10 +236,12 @@ def _cmd_paths(args) -> int:
     moments = ensemble_moments(ensemble.terminal_values)
     state = integrate(q, cfg)
     n = ensemble.n_paths
-    se_mean = (moments["variance"] / n) ** 0.5
-    se_var = moments["variance"] * (2.0 / (n - 1)) ** 0.5
-    if se_mean == 0.0 or se_var == 0.0:
-        # e.g. a sigma so small that the squared deviations underflow
+    if n > 1:
+        se_mean = (moments["variance"] / n) ** 0.5
+        se_var = moments["variance"] * (2.0 / (n - 1)) ** 0.5
+    if n < 2 or se_mean == 0.0 or se_var == 0.0:
+        # one path retained, the others overflowed, or e.g. a sigma so
+        # small that the squared deviations underflow
         raise DomainError(
             f"ensemble variance {moments['variance']:.3g} over {n} retained paths "
             f"has no standard error at sigma={_fmt(q.sigma)}"

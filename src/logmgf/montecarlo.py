@@ -20,19 +20,17 @@ repeated key is drawn twice, streamed and then whole. Only the key
 streamed last is remembered, so a call of several blocks streams every one.
 The elementwise steps run in the order of the out-of-place expression
 exp(theta * exp(mu + sigma * x)) and with the same roundings, in place in a
-reused buffer, so a piece's sums do not depend on how many pieces one numpy
-call covers, nor on whether its normals were streamed or kept.
+reused buffer, so a piece's sums do not depend on whether its normals were
+streamed or kept.
 
 Where more than one CPU is usable, the helper, a job on the process's worker
 pool, shares the pieces of a kept block; the pool keeps one thread fewer than
 those CPUs, so on two, back-to-back calls queue their helpers on one thread.
-The caller submits _help with a weak reference to the block and claims spans
-of _SPAN pieces from the front; the helper runs run(front=False), one piece
-at a time from the back. Each thread evaluates in its own kept buffer from
-_buffer: one piece in the helper and for a streamed block, a 2 MiB span once
-the thread is the caller of a kept block. The caller never waits for the
-helper, but evaluates any piece it has claimed and not yet stored, so a
-stalled, failing or refused helper (the pool refuses jobs once the
+The caller submits _help with a weak reference to the block, and then caller
+and helper alike claim the next unclaimed piece, one at a time, and evaluate
+it in their own kept buffer of one piece. The caller never waits for the
+helper, but evaluates any piece the helper has claimed and not yet stored, so
+a stalled, failing or refused helper (the pool refuses jobs once the
 interpreter is shutting down) costs only time, and a job whose caller has
 returned claims nothing and keeps nothing alive. A streamed block is drawn in
 the order its pieces are claimed, so its caller evaluates it alone: on one
@@ -54,7 +52,6 @@ from .types import Method, MgfEstimate, MgfQuery
 
 _BLOCK = 1 << 20  # draws per sub-stream; another size draws other streams
 _PIECE = 1 << 16  # draws per partial sum: a 512 KiB buffer fits in L2
-_SPAN = 4  # pieces the caller evaluates at once, in a 2 MiB buffer
 
 
 @dataclass(frozen=True)
@@ -104,38 +101,37 @@ def _normals(seed: RngSeed, block: int, size: int) -> np.ndarray | np.random.Gen
 
 
 class _Block:
-    """The pieces of one block, claimed from both ends.
+    """The pieces of one block, claimed one at a time, in order, from one cursor.
 
-    The caller of a kept block claims spans of up to _SPAN pieces from the
-    front and the helper single pieces from the back, so when the claims meet
-    at most one of the helper's pieces is still being evaluated. A span is
-    evaluated with one numpy call per step, and each call hands the
-    interpreter lock over at most twice: the fewer the caller makes, the less
-    often it sleeps until the helper lets go of the lock.
+    Caller and helper each claim the next unclaimed piece, so when the pieces
+    run out the helper is evaluating at most one that the caller may find
+    unstored.
     """
 
     def __init__(self, x: np.ndarray | np.random.Generator, size: int, q: MgfQuery,
                  shift: float | None):
         self.x, self.size, self.q, self.shift = x, size, q, shift
-        n_pieces = -(-size // _PIECE)
         # moments[i] is piece i's (sum, sum of squares), stored in one
         # assignment, so a reader sees all of a piece or none of it
-        self.moments: list[tuple[float, float] | None] = [None] * n_pieces
+        self.moments: list[tuple[float, float] | None] = [None] * -(-size // _PIECE)
         self._claims = threading.Lock()
-        self._front, self._back = 0, n_pieces  # pieces not yet claimed
+        self._next = 0  # the first piece not yet claimed
         if shift is None:  # piece 0 alone fixes the shift before the pieces are shared
-            self.evaluate(0, 1)
-            self._front = 1
+            self.evaluate(0)
+            self._next = 1
 
-    def evaluate(self, start: int, stop: int) -> None:
-        """Store the moments of pieces start..stop-1 about the shift, in _buffer.
+    def evaluate(self, i: int) -> None:
+        """Store the moments of piece i about the shift, in the thread's buffer.
 
-        Without a shift, the one piece evaluated sets it to its mean. A
-        streamed block draws the pieces' normals here: its caller alone
-        claims them, front to back, so they are drawn in stream order.
+        Without a shift, the piece sets it to its mean. A streamed block
+        draws the piece's normals here: its caller alone claims them, front
+        to back, so they are drawn in stream order.
         """
-        lo = start * _PIECE
-        f = _buffer(min(stop * _PIECE, self.size) - lo)
+        lo = i * _PIECE
+        buf = getattr(_buffers, "buf", None)
+        if buf is None:
+            buf = _buffers.buf = np.empty(_PIECE)
+        f = buf[: min(_PIECE, self.size - lo)]
         q = self.q
         # x * sigma + mu rounds as mu + sigma * x does: both ops commute
         if isinstance(self.x, np.ndarray):
@@ -150,53 +146,29 @@ class _Block:
         if self.shift is None:
             self.shift = float(f.mean())
         f -= self.shift
-        sums = _piece_sums(f)
+        total = float(np.sum(f))
         np.square(f, out=f)
-        for i, moments in enumerate(zip(sums, _piece_sums(f)), start):
-            self.moments[i] = moments
+        self.moments[i] = total, float(np.sum(f))
 
-    def run(self, front: bool = True) -> None:
-        """Claim pieces from one end and evaluate them until none is left:
-        _SPAN at a time from the front of a kept block, else one."""
-        span = _SPAN if front and isinstance(self.x, np.ndarray) else 1
+    def run(self) -> None:
+        """Claim the next piece and evaluate it until none is left."""
         while True:
             with self._claims:
-                if front:
-                    start = self._front
-                    self._front = stop = min(start + span, self._back)
-                else:
-                    stop = self._back
-                    self._back = start = max(stop - span, self._front)
-            if start == stop:
-                return
-            self.evaluate(start, stop)
+                i = self._next
+                if i == len(self.moments):
+                    return
+                self._next = i + 1
+            self.evaluate(i)
 
 
-def _piece_sums(f: np.ndarray) -> list[float]:
-    """np.sum of each _PIECE-long slice of f: a row sum adds as a 1-D sum does."""
-    whole = len(f) - len(f) % _PIECE
-    sums = f[:whole].reshape(-1, _PIECE).sum(axis=1).tolist()
-    if whole < len(f):
-        sums.append(float(np.sum(f[whole:])))
-    return sums
-
-
-_buffers = threading.local()
-
-
-def _buffer(n: int) -> np.ndarray:
-    """n floats of the calling thread's buffer, which grows on need and is kept."""
-    buf = getattr(_buffers, "buf", None)
-    if buf is None or len(buf) < n:
-        buf = _buffers.buf = np.empty(n)
-    return buf[:n]
+_buffers = threading.local()  # each thread's buffer of one piece, kept
 
 
 def _help(ref: weakref.ref) -> None:
     block = ref()  # None once its caller has returned; an exception stays in the unread future
     if block is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # the state is per thread
-            block.run(front=False)
+            block.run()
 
 
 def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
@@ -239,7 +211,7 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
             block.run()
             for i, moments in enumerate(block.moments):
                 if moments is None:  # claimed by the helper, not yet stored
-                    block.evaluate(i, i + 1)
+                    block.evaluate(i)
             for total, squares in block.moments:
                 piece_sums.append(total)
                 piece_sqs.append(squares)

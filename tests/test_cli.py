@@ -103,6 +103,9 @@ def test_usage_error_exit_code(capsys):
         ["paths", "--mu", "0", "--sigma", "0.1", "--theta", "0"],
         ["paths", "--mu", "0", "--sigma", "1e-200", "--theta", "-1", "--n", "10",
          "--steps", "10"],
+        # one of the two paths overflows: one retained path has no sample variance
+        ["paths", "--mu", "0", "--sigma", "1", "--theta", "0.3", "--n", "2",
+         "--steps", "500", "--seed", "19"],
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--seed", "-1"],
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--seed",
          str(2**64), "--methods", "zero"],
@@ -117,8 +120,8 @@ def test_usage_error_exit_code(capsys):
          "--n-pairs", "100000000000000000000"],
     ],
     ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0",
-         "paths-sigma-underflow", "compute-seed-negative", "compute-seed-65-bits",
-         "table-seed-negative", "compute-steps-5", "compute-n-pairs-1",
+         "paths-sigma-underflow", "paths-one-retained", "compute-seed-negative",
+         "compute-seed-65-bits", "table-seed-negative", "compute-steps-5", "compute-n-pairs-1",
          "compute-mc-samples-10", "table-mc-samples-10", "compute-mc-samples-1e20",
          "compute-n-pairs-1e20"],
 )
@@ -239,6 +242,16 @@ def test_dump_files(tmp_path, capsys):
     traj = traj_path.read_text().splitlines()
     assert traj[0] == "i,t,m,v"
     assert len(traj) == 52
+
+
+def test_a_trajectory_dump_at_theta_zero_is_skipped(tmp_path, capsys):
+    traj_path = tmp_path / "traj.csv"
+    code = main(["compute", "--mu", "0", "--sigma", "1", "--theta", "0",
+                 "--dump-trajectory", str(traj_path)])
+    captured = capsys.readouterr()
+    assert code == 0 and "monte_carlo" in captured.out
+    assert captured.err == "trajectory dump skipped: theta = 0 has no trajectory\n"
+    assert not traj_path.exists()
 
 
 def test_entry_point_exit_codes():

@@ -185,9 +185,9 @@ def test_cached_in_place_blocks_equal_the_reference(monkeypatch, q, n_blocks, si
 
 @pytest.mark.parametrize("sharing", ["streamed", "kept alone", "kept with the helper"])
 @pytest.mark.parametrize("block", [mc._PIECE + 1, 9 * mc._PIECE + 5])
-def test_spans_and_pieces_equal_the_per_piece_reference(monkeypatch, block, sharing):
-    # spans of up to _SPAN pieces from the front, single pieces from the back,
-    # a partial last piece in every block and a partial last block
+def test_claimed_pieces_equal_the_per_piece_reference(monkeypatch, block, sharing):
+    # pieces claimed one at a time by the caller and the helper, a partial
+    # last piece in every block and a partial last block
     monkeypatch.setattr(mc, "_BLOCK", block)
     see(monkeypatch, "first sight" if sharing == "streamed" else "kept")
     if sharing == "kept alone":
@@ -206,11 +206,21 @@ def test_spans_and_pieces_equal_the_per_piece_reference(monkeypatch, block, shar
     "n", [1, mc._PIECE - 1, mc._PIECE, mc._PIECE + 1, 4 * mc._PIECE - 3, 4 * mc._PIECE]
 )
 def test_piece_sums_equal_the_sum_of_each_slice(n):
-    # a row of a reshaped span is summed as the 1-D slice is; the end-to-end
-    # values cannot show this, since fsum and the division by n hide an ulp
-    f = np.exp(3.0 * np.random.default_rng(n).standard_normal(n))
-    want = [float(np.sum(f[s : s + mc._PIECE])) for s in range(0, n, mc._PIECE)]
-    assert mc._piece_sums(f) == want
+    # a piece's two sums are np.sum of its 1-D slice about the shift; the
+    # end-to-end values cannot show this, since fsum and the division by n
+    # hide an ulp
+    q = MgfQuery(0.0, 1.0, 0.4)
+    x = np.random.default_rng(n).standard_normal(n)
+    block = mc._Block(x, n, q, None)
+    block.run()
+    f = np.exp(q.theta * np.exp(q.mu + q.sigma * x))
+    shift = float(f[: mc._PIECE].mean())
+    want = []
+    for s in range(0, n, mc._PIECE):
+        d = f[s : s + mc._PIECE] - shift
+        want.append((float(np.sum(d)), float(np.sum(d * d))))
+    assert block.shift == shift
+    assert block.moments == want
 
 
 @pytest.mark.parametrize("block", [mc._PIECE // 4 + 3, 3 * mc._PIECE // 2 + 5])
@@ -230,11 +240,11 @@ def test_pieces_stay_within_two_ulp_of_whole_blocks(monkeypatch, block):
 
 
 def test_a_warm_call_allocates_no_block_sized_buffer(monkeypatch):
-    # the first sight streams its draws through the span buffer, the second
+    # the first sight streams its draws through the piece buffer, the second
     # draws the block's 8 MiB of normals and keeps them, the third draws nothing
     see(monkeypatch, "first sight")
     q, cfg = MgfQuery(0.0, 1.0, -2.0), McConfig(n_samples=1_000_000)
-    mgf_monte_carlo(q, McConfig(n_samples=1_000_000, seed=RngSeed(1)))  # the span buffer
+    mgf_monte_carlo(q, McConfig(n_samples=1_000_000, seed=RngSeed(1)))  # the piece buffer
     peaks = []
     for _ in range(3):
         tracemalloc.start()
@@ -249,7 +259,7 @@ def test_a_warm_call_allocates_no_block_sized_buffer(monkeypatch):
 
 def test_a_first_sight_holds_one_piece_of_draws(monkeypatch):
     # a fresh thread has no buffer yet: streaming a block needs one piece of
-    # it, and only a kept block, evaluated a span at a time, grows it
+    # it, and evaluating a kept block needs no more
     see(monkeypatch, "first sight")
     q = MgfQuery(0.0, 1.0, -2.0)
     mgf_monte_carlo(q, McConfig(n_samples=1_000_000, seed=RngSeed(8)))  # imports, untraced
@@ -272,7 +282,7 @@ def test_a_first_sight_holds_one_piece_of_draws(monkeypatch):
     thread.join()
     # 517 KiB, where a 2 MiB span buffer peaked at 2,053 KiB
     assert seen[0] < 1 << 20
-    assert seen[1:] == [mc._PIECE, mc._SPAN * mc._PIECE]
+    assert seen[1:] == [mc._PIECE, mc._PIECE]
 
 
 # (value, std_error) in hex, as the estimator gave them when every thread
@@ -401,15 +411,15 @@ def helper(monkeypatch):
     monkeypatch.setattr(gaussian, "_executor", pool)
     served = queue.SimpleQueue()
 
-    class Probe:  # run as a block is, from the back
-        def run(self, front):
-            served.put((threading.current_thread(), front))
+    class Probe:  # run as a block is
+        def run(self):
+            served.put(threading.current_thread())
 
     probe = Probe()
     try:
         gaussian._pool().submit(mc._help, weakref.ref(probe))
-        thread, front = served.get(timeout=10)
-        assert front is False
+        thread = served.get(timeout=10)
+        assert thread is not threading.current_thread()
         assert thread in helper_threads() and thread.is_alive()
         yield thread
     finally:
@@ -417,22 +427,22 @@ def helper(monkeypatch):
 
 
 def make_the_helper_take_a_piece(monkeypatch, helper, in_helper):
-    """Patch _Block: the caller's claims from the front, which follow the
-    shift piece, wait (10 s at most) until the helper has claimed a piece,
-    and in_helper evaluates each piece the helper claims."""
+    """Patch _Block: the caller's claims, which follow the shift piece,
+    wait (10 s at most) until the helper has claimed a piece, and in_helper
+    evaluates each piece the helper claims."""
     evaluate, run = mc._Block.evaluate, mc._Block.run
     claimed = threading.Event()
 
-    def helper_evaluate(block, start, stop):
+    def helper_evaluate(block, i):
         if threading.current_thread() is not helper:
-            return evaluate(block, start, stop)
+            return evaluate(block, i)
         claimed.set()
-        in_helper(evaluate, block, start, stop)
+        in_helper(evaluate, block, i)
 
-    def caller_run(block, front=True):
-        if front:
+    def caller_run(block):
+        if threading.current_thread() is not helper:
             claimed.wait(10)
-        return run(block, front)
+        return run(block)
 
     monkeypatch.setattr(mc._Block, "evaluate", helper_evaluate)
     monkeypatch.setattr(mc._Block, "run", caller_run)
@@ -447,9 +457,9 @@ def test_a_stalled_helper_never_delays_the_call(monkeypatch, helper):
     want = keep(q, cfg)
     returned, woke = threading.Event(), []
 
-    def stall(real, block, start, stop):
+    def stall(real, block, i):
         woke.append(returned.wait(10))
-        real(block, start, stop)
+        real(block, i)
 
     claimed = make_the_helper_take_a_piece(monkeypatch, helper, stall)
     est = mgf_monte_carlo(q, cfg)
@@ -475,9 +485,9 @@ def test_a_queued_job_keeps_no_block_alive_after_its_call(monkeypatch, helper):
             super().__init__(*args)
             blocks.append(weakref.ref(self))
 
-    def stall(real, block, start, stop):
+    def stall(real, block, i):
         woke.append(returned.wait(10))
-        real(block, start, stop)
+        real(block, i)
 
     monkeypatch.setattr(mc, "_Block", Recorded)
     claimed = make_the_helper_take_a_piece(monkeypatch, helper, stall)
@@ -546,8 +556,8 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     want = keep(q, cfg)
     raised = []
 
-    def fail(real, block, start, stop):
-        raised.append(start)
+    def fail(real, block, i):
+        raised.append(i)
         raise MemoryError("injected")
 
     claimed = make_the_helper_take_a_piece(monkeypatch, helper, fail)
@@ -558,22 +568,23 @@ def test_a_failing_helper_job_is_recomputed_by_the_caller(monkeypatch, helper):
     assert gaussian._pool().submit(threading.current_thread).result(timeout=10) is helper
 
 
-def test_the_helper_evaluates_in_a_buffer_of_one_piece(monkeypatch, helper):
-    # the helper claims single pieces, so the buffer _buffer gives its thread
-    # is one piece, never the caller's span; no piece of this block is partial
+def test_caller_and_helper_each_evaluate_in_a_buffer_of_one_piece(monkeypatch, helper):
+    # every thread claims single pieces, so each keeps a buffer of one piece;
+    # no piece of this block is partial
     q = MgfQuery(0.3, 0.7, -5.5)
     cfg = McConfig(n_samples=6 * mc._PIECE, seed=RngSeed(29))
     want = keep(q, cfg)
     lengths = []
 
-    def record(real, block, start, stop):
-        real(block, start, stop)
+    def record(real, block, i):
+        real(block, i)
         lengths.append(len(mc._buffers.buf))
 
     claimed = make_the_helper_take_a_piece(monkeypatch, helper, record)
     est = mgf_monte_carlo(q, cfg)
     assert claimed.is_set()
     assert (est.value, est.diagnostics) == want
+    assert len(mc._buffers.buf) == mc._PIECE  # the caller's
     deadline = time.monotonic() + 10
     while not lengths and time.monotonic() < deadline:
         time.sleep(0.01)

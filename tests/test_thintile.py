@@ -355,6 +355,36 @@ def test_a_bad_point_is_named_before_a_bad_mirror_of_an_earlier_piece():
     assert exc_info.value.x == xs[first_bad]
 
 
+def test_a_bad_mirror_is_named_once_every_point_is_finite():
+    # only mirrors past the second piece's start are bad: the held piece
+    # names its first bad mirror once the last f(x_n) is known to be finite
+    grid = build_grid(GaussianParams(0.0, 1.0), TileGridConfig())
+    xs = grid.coordinates  # mu = 0: every mirror is exactly -x_n
+    first_bad = tt._PIECE + 101
+
+    def f(x):
+        return np.where(x <= -xs[first_bad], np.inf, 1.0)
+
+    with pytest.raises(NonFiniteIntegrand, match="integrand non-finite") as exc_info:
+        expectation_on_grid(f, grid)
+    assert exc_info.value.x == -xs[first_bad]
+
+
+def test_a_bad_tail_point_is_named_where_the_grid_is_finite():
+    # f is finite up to the last grid point; the upper tail cell's point,
+    # the conditional mean beyond it, is the first bad one
+    grid = build_grid(GaussianParams(0.0, 1.0), TileGridConfig())
+    last = grid.coordinates[-1]
+
+    def f(x):
+        return np.where(x > last, np.nan, 1.0)
+
+    assert expectation_on_grid(f, grid).value == 1.0
+    with pytest.raises(NonFiniteIntegrand) as exc_info:
+        expectation(f, GaussianParams(0.0, 1.0), TileGridConfig())
+    assert exc_info.value.x == 4.578218130625731
+
+
 def test_an_integrand_finite_on_its_second_call_still_raises():
     # a stateful f: nan in the first piece, finite on any later call. The
     # first piece raises where its nan appears, so later values are not seen

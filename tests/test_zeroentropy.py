@@ -567,6 +567,11 @@ def test_paths_rejects_theta_zero():
         simulate_paths(MgfQuery(0.0, 1.0, 0.0), 10, 10, RngSeed(0))
 
 
+def test_paths_reject_zero_steps():
+    with pytest.raises(DomainError, match="steps must be >= 1"):
+        simulate_paths(MgfQuery(0.0, 1.0, -1.0), 10, 0, RngSeed(0))
+
+
 def test_paths_beyond_the_substream_keys_raise_before_allocating():
     # path p's sub-stream key needs p < 2^32; the check comes before the
     # 32 GiB terminal array and before any path is stepped
