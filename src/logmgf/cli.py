@@ -54,8 +54,6 @@ def _parse_methods(spec: str) -> list[Method]:
         if key not in _ALIASES:
             raise argparse.ArgumentTypeError(f"unknown method {name!r}")
         out.add(_ALIASES[key])
-    if not out:
-        raise argparse.ArgumentTypeError("no methods selected")
     return [m for m in _METHOD_ORDER if m in out]
 
 

@@ -146,7 +146,7 @@ def mgf_asmussen(q: MgfQuery, tile_config: object = None) -> MgfEstimate:
 
     Requires a = -theta*sigma^2*e^mu >= -1/e, which always holds for
     theta <= 0 and bounds the admissible positive theta. Raises DomainError
-    there, where sigma^2 underflows to 0, where e^mu or the leading term
+    there, where sigma^2 underflows to 0, where e^mu, a or the leading term
     leaves the float range, and where the residual factor is not finite.
     `tile_config` is ignored; it is accepted for callers that still pass it.
     """
@@ -167,6 +167,11 @@ def mgf_asmussen(q: MgfQuery, tile_config: object = None) -> MgfEstimate:
         raise DomainError(
             f"theta={q.theta!r} puts the Lambert argument {a!r} below -1/e; "
             "the closed form does not reach this far into theta > 0"
+        )
+    if not math.isfinite(a):  # the product overflowed, or is inf * 0 = nan
+        raise DomainError(
+            f"the Lambert argument -theta sigma^2 e^mu = {a!r} is not finite at "
+            f"mu={q.mu!r}, sigma={q.sigma!r}, theta={q.theta!r}"
         )
     lw = lambert_w0(a)
     w = lw.w

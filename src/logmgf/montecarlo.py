@@ -181,25 +181,22 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
     _instance("q", q, MgfQuery)
     cfg = _config(cfg, McConfig)
     n = cfg.n_samples
+    n_blocks = -(-n // _BLOCK)
     if q.theta == 0.0:
         # every summand is exactly 1, so this is what the blocks would give;
         # drawing them could also turn an overflowing e^x into 0 * inf = nan
-        n_blocks = float(math.ceil(n / _BLOCK))
         return MgfEstimate(
             1.0,
             Method.MONTE_CARLO,
-            {"std_error": 0.0, "n_samples": float(n), "n_batches": n_blocks},
+            {"std_error": 0.0, "n_samples": float(n), "n_batches": float(n_blocks)},
         )
-    piece_sums = []
-    piece_sqs = []
+    moments = []  # every piece's (sum, sum of squares), in block and piece order
     shift = None
-    n_blocks = 0
-    done = 0
     beyond = f"theta={q.theta!r} is beyond the finite-sample regime"
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < n:
-            size = min(_BLOCK, n - done)
-            x = _normals(cfg.seed, n_blocks, size)
+        for b in range(n_blocks):
+            size = min(_BLOCK, n - b * _BLOCK)
+            x = _normals(cfg.seed, b, size)
             block = _Block(x, size, q, shift)
             shift = block.shift
             # a streamed block's pieces are drawn as claimed: its caller claims them all
@@ -209,23 +206,18 @@ def mgf_monte_carlo(q: MgfQuery, cfg: McConfig | None = None) -> MgfEstimate:
                 except RuntimeError:  # the interpreter is shutting down
                     pass
             block.run()
-            for i, moments in enumerate(block.moments):
-                if moments is None:  # claimed by the helper, not yet stored
+            for i, piece in enumerate(block.moments):
+                if piece is None:  # claimed by the helper, not yet stored
                     block.evaluate(i)
-            for total, squares in block.moments:
-                piece_sums.append(total)
-                piece_sqs.append(squares)
-                # an overflowing summand or squared deviation makes this inf or nan
-                if not math.isfinite(squares):
-                    raise DivergenceError(
-                        f"summands overflowed in block {n_blocks}; {beyond}", n_blocks
-                    )
-            done += size
-            n_blocks += 1
-    shifted_sum = math.fsum(piece_sums)
+            # an overflowing summand or squared deviation makes a sum of squares inf or nan
+            if not all(math.isfinite(squares) for _, squares in block.moments):
+                raise DivergenceError(f"summands overflowed in block {b}; {beyond}", b)
+            moments += block.moments
+    sums, squares = zip(*moments)
+    shifted_sum = math.fsum(sums)
     mean = shift + shifted_sum / n
     try:
-        var = (math.fsum(piece_sqs) - shifted_sum**2 / n) / (n - 1)
+        var = (math.fsum(squares) - shifted_sum**2 / n) / (n - 1)
     except OverflowError as exc:
         raise DivergenceError(
             f"the sample variance overflowed; {beyond}", n_blocks - 1

@@ -93,6 +93,19 @@ def test_usage_error_exit_code(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("spec, name", [(",", "''"), ("bogus", "'bogus'"), ("mc,", "''")])
+def test_an_unknown_method_is_a_usage_error_naming_it(capsys, spec, name):
+    # an empty selection splits into empty names, each an unknown method
+    with pytest.raises(SystemExit) as exc_info:
+        main(["compute", "--mu", "0", "--sigma", "1", "--theta", "-1", "--methods", spec])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"logmgf compute: error: argument --methods: unknown method {name}"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

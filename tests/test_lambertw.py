@@ -132,6 +132,29 @@ def test_mgf_positive_theta_domain():
         mgf_asmussen(MgfQuery(0.0, 1.0, math.exp(-1.0)))
 
 
+@pytest.mark.parametrize("q, a", [
+    (MgfQuery(700.0, 1e-140, -1e300), "inf"),  # the product overflows
+    (MgfQuery(0.0, 1e200, -1.0), "inf"),  # sigma^2 overflows
+    (MgfQuery(-800.0, 1e200, -1.0), "nan"),  # sigma^2 = inf times e^mu = 0
+])
+def test_a_lambert_argument_beyond_the_float_range_is_named(q, a):
+    with pytest.raises(DomainError) as exc_info:
+        mgf_asmussen(q)
+    assert str(exc_info.value) == (
+        f"the Lambert argument -theta sigma^2 e^mu = {a} is not finite at "
+        f"mu={q.mu!r}, sigma={q.sigma!r}, theta={q.theta!r}"
+    )
+
+
+def test_a_residual_factor_beyond_the_float_range_raises():
+    # a = 1e298 is finite, but c = W / sigma^2 is not
+    with pytest.raises(DomainError) as exc_info:
+        mgf_asmussen(MgfQuery(700.0, 1e-153, -1e300))
+    assert str(exc_info.value) == (
+        "the residual factor is not finite at sigma=1e-153, theta=-1e+300"
+    )
+
+
 def test_mgf_published_rows():
     assert mgf_asmussen(MgfQuery(0.0, 0.1, 1.0)).value == pytest.approx(
         2.745950, abs=5e-6

@@ -369,6 +369,25 @@ def test_overflow_block_matches_the_reference(monkeypatch, sight):
     assert outcomes == {0, 1, 2, "finite"}
 
 
+def test_variance_overflow_raises_on_streamed_kept_and_hit_calls(monkeypatch):
+    # summands near e^349: every sum of squares is finite, but the square of
+    # the shifted sum is not
+    see(monkeypatch, "first sight")
+    q = MgfQuery(math.log(349), 0.002, 1.0)
+    cfg = McConfig(n_samples=2 * mc._PIECE, seed=RngSeed(0))
+    kept = []
+    for _ in range(3):  # streamed, then kept, then served from the kept block
+        with pytest.raises(DivergenceError) as exc_info:
+            mgf_monte_carlo(q, cfg)
+        assert str(exc_info.value) == (
+            "the sample variance overflowed; theta=1.0 is beyond the finite-sample regime"
+        )
+        assert exc_info.value.step == 0
+        kept.append(mc._kept)
+    assert kept[0] is None
+    assert kept[1][0] == (cfg.seed, 0, cfg.n_samples) and kept[2] is kept[1]
+
+
 def serial(q, cfg):
     """(value, diagnostics) on one usable CPU: no helper, the caller evaluates every piece."""
     with pytest.MonkeyPatch.context() as mp:
