@@ -1,9 +1,9 @@
 """Command-line front end: single-point runs, table reproduction, paths.
 
 Output formats: text (methods as rows for eyeballing), CSV (one row per
-(method, theta), 9 significant digits), and JSON (schema-stable keys
-{query, results[], deltas[], timings} for every successful run). All
-configuration arrives through flags; nothing is read from the environment.
+(method, theta), 9 significant digits), and strict JSON (schema-stable keys
+{query, results[], deltas[], timings}; a NaN or an infinity prints as null).
+All configuration arrives through flags; nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -57,27 +57,22 @@ def _parse_methods(spec: str) -> list[Method]:
     return [m for m in _METHOD_ORDER if m in out]
 
 
-def _runners(methods: list[Method], args) -> dict:
-    """Method -> callable(q) for each selected method, in the given order.
+def _configs(args) -> tuple[ZeroEntropyConfig, TileGridConfig, McConfig]:
+    """The engine configs, built once before any method runs or any dump, so a
+    bad engine flag (e.g. --steps 5) exits 2 whatever --methods selects."""
+    return (ZeroEntropyConfig(steps=args.steps), TileGridConfig(n_pairs=args.n_pairs),
+            McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed)))
 
-    Every config is built here, before any method runs, so a bad engine flag
-    (e.g. --steps 5) raises its DomainError as bad input, exit 2, rather than
-    as one error row per point. The mgf_* functions are looked up each time
-    this runs, not at import, so names rebound in this module are the ones run.
-    """
-    runners = {}
-    for method in methods:
-        if method is Method.ZERO_ENTROPY:
-            run = functools.partial(mgf_zero_entropy, cfg=ZeroEntropyConfig(steps=args.steps))
-        elif method is Method.THIN_TILE:
-            run = functools.partial(mgf_thintile, cfg=TileGridConfig(n_pairs=args.n_pairs))
-        elif method is Method.MONTE_CARLO:
-            cfg = McConfig(n_samples=args.mc_samples, seed=RngSeed(args.seed))
-            run = functools.partial(mgf_monte_carlo, cfg=cfg)
-        else:
-            run = mgf_asmussen
-        runners[method] = run
-    return runners
+
+def _runners(methods: list[Method], configs: tuple) -> dict:
+    """Method -> callable(q) for each selected method, in the given order. The
+    mgf_* names are looked up at each call, so names rebound here are the ones run."""
+    ze_cfg, grid_cfg, mc_cfg = configs
+    run = {Method.ZERO_ENTROPY: functools.partial(mgf_zero_entropy, cfg=ze_cfg),
+           Method.THIN_TILE: functools.partial(mgf_thintile, cfg=grid_cfg),
+           Method.LAPLACE_W: mgf_asmussen,
+           Method.MONTE_CARLO: functools.partial(mgf_monte_carlo, cfg=mc_cfg)}
+    return {method: run[method] for method in methods}
 
 
 def _run_report(q: MgfQuery, runners: dict, table_id: int | None = None) -> dict:
@@ -159,11 +154,19 @@ def _reports_csv(reports: list[dict], out, table_id: int | None = None) -> None:
             w.writerow(row)
 
 
+def _print_json(doc) -> None:
+    """Print doc as strict JSON: a NaN or an infinity, as in a diagnostic, prints as null."""
+    # json writes non-finite floats as the names NaN and Infinity; reading them
+    # back as None leaves every other value as it was
+    finite = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    json.dump(finite, sys.stdout, indent=2, allow_nan=False)
+    sys.stdout.write("\n")
+
+
 def _emit(reports: list[dict], fmt: str, table_id: int | None = None) -> None:
     out = sys.stdout
     if fmt == "json":
-        json.dump(reports if table_id is not None else reports[0], out, indent=2)
-        out.write("\n")
+        _print_json(reports if table_id is not None else reports[0])
     elif fmt == "csv":
         _reports_csv(reports, out, table_id)
     elif table_id is not None:
@@ -189,17 +192,15 @@ def _print_table_text(reports: list[dict], table_id: int, out) -> None:
 
 def _cmd_compute(args) -> int:
     q = MgfQuery(mu=args.mu, sigma=args.sigma, theta=args.theta)
-    RngSeed(args.seed)  # a bad seed is bad input (exit 2), not a per-row error
-    dumps = []  # (path, write): a dump's config is input too, checked before any output
+    ze_cfg, grid_cfg, _ = configs = _configs(args)
+    dumps = []  # (path, write), written after the report
     if args.dump_grid:
-        grid_cfg = TileGridConfig(n_pairs=args.n_pairs)
         dumps.append((args.dump_grid, lambda fh: build_grid(q, grid_cfg).to_csv(fh)))
     if args.dump_trajectory and q.theta == 0.0:
         print("trajectory dump skipped: theta = 0 has no trajectory", file=sys.stderr)
     elif args.dump_trajectory:
-        ze_cfg = ZeroEntropyConfig(steps=args.steps)
         dumps.append((args.dump_trajectory, lambda fh: trajectory_csv(q, ze_cfg, fh)))
-    report = _run_report(q, _runners(args.methods, args))
+    report = _run_report(q, _runners(args.methods, configs))
     _emit([report], args.format)
     sys.stdout.flush()  # the report stands whatever a dump then raises
     for path, write in dumps:
@@ -213,7 +214,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    runners = _runners(list(_METHOD_ORDER), args)
+    runners = _runners(list(_METHOD_ORDER), _configs(args))
     spec = TABLES[args.id]
     reports = []
     for theta in spec.thetas:
@@ -257,12 +258,7 @@ def _cmd_paths(args) -> int:
         "standardized_variance_diff": (moments["variance"] - state.v) / se_var,
     }
     if args.format == "json":
-        doc = {
-            "query": {"mu": q.mu, "sigma": q.sigma, "theta": q.theta},
-            "results": rows,
-        }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _print_json({"query": {"mu": q.mu, "sigma": q.sigma, "theta": q.theta}, "results": rows})
     elif args.format == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["quantity", "value"])

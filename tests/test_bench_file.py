@@ -241,3 +241,27 @@ def test_pairs_refuse_a_clean_tree(monkeypatch, capsys):
         bench_file.main(["--pr", "0", "--pairs"])
     assert exit_info.value.code == 2
     assert "the tree is clean" in capsys.readouterr().err
+
+
+def _avx512_exp_here():
+    from numpy._core import _multiarray_umath as umath
+
+    return bool(umath.__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.parametrize("env, avx512", [
+    ({}, _avx512_exp_here()),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, False),
+], ids=["default-dispatch", "avx512-off"])
+def test_the_exp_probe_names_the_kernel_numpy_runs(env, avx512):
+    if env and "X86_V4" not in bench_file.exp_kernel()["cpu_dispatch"]:
+        pytest.skip("this numpy has no AVX-512 kernels to switch off")
+    found = bench_file.exp_kernel(env)
+    probe = found["probe"]
+    if avx512:
+        assert found["kernel"] == "avx512" and probe["np_exp"] == bench_file.AVX512_EXP
+        assert "X86_V4" in found["cpu_dispatch_enabled"]
+    else:
+        assert found["kernel"] == "libm" and probe["np_exp"] == probe["math_exp"]
+        assert "X86_V4" not in found["cpu_dispatch_enabled"]
+    assert set(found["cpu_dispatch_enabled"]) <= set(found["cpu_dispatch"])

@@ -21,13 +21,22 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _refuse(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """The document in text; NaN, Infinity and -Infinity fail the test."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def test_compute_json_schema(capsys):
     code, out = run_cli(
         capsys, "compute", "--mu", "0", "--sigma", "0.1", "--theta", "0.5",
         "--mc-samples", "50000", "--format", "json",
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert set(doc) == {"query", "results", "deltas", "timings"}
     assert doc["query"] == {"mu": 0.0, "sigma": 0.1, "theta": 0.5}
     methods = [r["method"] for r in doc["results"]]
@@ -45,7 +54,7 @@ def test_compute_theta_zero_all_methods_one(capsys):
         "--mc-samples", "10000", "--format", "json",
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert [r["value"] for r in doc["results"]] == [1.0, 1.0, 1.0, 1.0]
 
 
@@ -56,7 +65,7 @@ def test_compute_method_error_sets_exit_code(capsys):
         "--methods", "laplace", "--format", "json",
     )
     assert code == 1
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert "error" in doc["results"][0]
     assert "value" not in doc["results"][0]
 
@@ -72,10 +81,22 @@ def test_float_range_errors_are_typed_rows(capsys, mu, sigma, theta):
         "--mc-samples", "10000", "--format", "json",
     )
     assert code == 1
-    results = json.loads(out)["results"]
+    results = strict_json(out)["results"]
     laplace = next(r for r in results if r["method"] == "laplace_w")
     assert "leaves the float range" in laplace["error"]
     assert not any("math range error" in r.get("error", "") for r in results)
+
+
+def test_a_non_finite_diagnostic_prints_as_null(capsys):
+    # e^m underflows at mu = -max float: m_1 is -inf, which JSON cannot hold
+    code, out = run_cli(
+        capsys, "compute", "--mu=-1.7976931348623157e308", "--sigma", "3.9",
+        "--theta=3.6e-267", "--methods", "zero", "--steps", "50", "--format", "json",
+    )
+    assert code == 0
+    (row,) = strict_json(out)["results"]
+    assert row["value"] == 1.0 and row["diagnostics"]["m_1"] is None
+    assert '"m_1": null,' in out
 
 
 def test_compute_inside_positive_domain_succeeds(capsys):
@@ -84,7 +105,7 @@ def test_compute_inside_positive_domain_succeeds(capsys):
         "--methods", "laplace", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["results"][0]["value"] > 0
+    assert strict_json(out)["results"][0]["value"] > 0
 
 
 def test_usage_error_exit_code(capsys):
@@ -127,6 +148,13 @@ def test_an_unknown_method_is_a_usage_error_naming_it(capsys, spec, name):
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--n-pairs", "1"],
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--mc-samples", "10"],
         ["table", "--id", "2", "--mc-samples", "10"],
+        # an engine flag is checked whatever --methods selects
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta=-1", "--methods", "tile",
+         "--steps", "5"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta=-1", "--methods", "zero",
+         "--n-pairs", "1"],
+        ["compute", "--mu", "0", "--sigma", "0.1", "--theta=-1", "--methods", "zero",
+         "--mc-samples", "10"],
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--mc-samples",
          "100000000000000000000"],
         ["compute", "--mu", "0", "--sigma", "0.1", "--theta", "-1", "--methods", "tile",
@@ -135,7 +163,8 @@ def test_an_unknown_method_is_a_usage_error_naming_it(capsys, spec, name):
     ids=["sigma-zero", "sigma-nan", "paths-n-1", "paths-steps-0", "paths-theta-0",
          "paths-sigma-underflow", "paths-one-retained", "compute-seed-negative",
          "compute-seed-65-bits", "table-seed-negative", "compute-steps-5", "compute-n-pairs-1",
-         "compute-mc-samples-10", "table-mc-samples-10", "compute-mc-samples-1e20",
+         "compute-mc-samples-10", "table-mc-samples-10", "tile-steps-5", "zero-n-pairs-1",
+         "zero-mc-samples-10", "compute-mc-samples-1e20",
          "compute-n-pairs-1e20"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
@@ -184,7 +213,7 @@ def test_table_json_includes_paper_values(capsys):
     code, out = run_cli(capsys, "table", "--id", "3", "--format", "json",
                         "--mc-samples", "10000")
     assert code == 0
-    docs = json.loads(out)
+    docs = strict_json(out)
     assert len(docs) == 5
     for doc in docs:
         for r in doc["results"]:
@@ -207,7 +236,7 @@ def test_table_values_deterministic(capsys):
                       "--mc-samples", "20000", "--seed", "4")
     _, out2 = run_cli(capsys, "table", "--id", "1", "--format", "json",
                       "--mc-samples", "20000", "--seed", "4")
-    assert strip_timings(json.loads(out1)) == strip_timings(json.loads(out2))
+    assert strip_timings(strict_json(out1)) == strip_timings(strict_json(out2))
 
 
 def test_table_text_layout(capsys):
@@ -224,7 +253,7 @@ def test_paths_report(capsys):
         "--n", "4000", "--steps", "200", "--seed", "7", "--format", "json",
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     r = doc["results"]
     assert abs(r["standardized_mean_diff"]) < 4.0
     assert abs(r["standardized_variance_diff"]) < 4.0
@@ -411,14 +440,16 @@ _ARGV = st.one_of(
 @example(argv=["compute", "--mu=1e+308", "--sigma=1e+308", "--theta=1e+308",
                "--steps=10", "--methods=zero"])  # zero_entropy: sigma^3 overflows
 def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if "--format=json" in argv and out.getvalue():  # a whole-command error prints none
+        strict_json(out.getvalue())
 
 
 def test_a_mode_whose_double_overflows_gives_a_finite_tile_value(capsys):
@@ -429,7 +460,7 @@ def test_a_mode_whose_double_overflows_gives_a_finite_tile_value(capsys):
         "--methods=tile", "--format=json",
     )
     assert code == 0
-    (row,) = json.loads(out)["results"]
+    (row,) = strict_json(out)["results"]
     assert abs(row["value"] - 0.158655) < 1e-4
 
 
@@ -441,7 +472,7 @@ def test_tile_mean_of_finite_values_is_finite(capsys):
         "--methods", "tile", "--format", "json",
     )
     assert code == 0
-    (row,) = json.loads(out)["results"]
+    (row,) = strict_json(out)["results"]
     assert 1e303 < row["value"] < 1e304
 
 
@@ -480,3 +511,5 @@ def test_output_matches_the_golden_bytes(capsys, case, fmt):
     assert captured.err == ""
     assert code == golden["code"]
     assert _mask_timings(captured.out) == golden["stdout"]
+    if fmt == "json":
+        strict_json(captured.out)

@@ -9,8 +9,8 @@ and wall time; a failing criterion is recorded, not fatal. The file holds
 every result and details line as perfbench printed them (the details lines
 carry the machine), the git head, whether the tree was clean, and the
 tree_digest of the files measured, which a later checkout of the commit that
-holds those files reproduces. Standard library only; run it from anywhere
-inside the checkout.
+holds those files reproduces, and the float64 exp kernel numpy runs
+(exp_kernel). Standard library only; run it from anywhere inside the checkout.
 
 With --pairs, which a clean tree refuses, it also extracts the commit HEAD
 (the parent of the change not yet committed) into PARENT_TREE with git
@@ -47,6 +47,21 @@ PAIRS = 10  # the pairs a claim is judged on: the change better in 9 of 10
 PARENT_TREE = ROOT / ".perfbench-out" / "parent-tree"  # HEAD's side of the pairs
 # what the rows depend on: the benchmark, the code it runs, the suite and this tool
 MEASURED = ("BENCHMARK.json", "perfbench", "src", "tests", "tools")
+# x where numpy's float64 exp kernels round apart: the AVX-512 kernel gives
+# 0x1.1b0d14d920118p+0; libm, and numpy with AVX-512 dispatch off, 0x1.1b0d14d920119p+0
+EXP_PROBE_X = 0.10045000000000001
+AVX512_EXP = "0x1.1b0d14d920118p+0"
+_EXP_PROBE = f"""
+import json, math
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+got, libm = np.exp(np.array([{EXP_PROBE_X!r}]))[0].hex(), math.exp({EXP_PROBE_X!r}).hex()
+print(json.dumps({{
+    "cpu_baseline": umath.__cpu_baseline__, "cpu_dispatch": umath.__cpu_dispatch__,
+    "cpu_dispatch_enabled": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+    "probe": {{"x": {EXP_PROBE_X!r}, "np_exp": got, "math_exp": libm}},
+    "kernel": "libm" if got == libm else "avx512" if got == {AVX512_EXP!r} else "unknown"}}))
+"""
 # "12.34s call     tests/test_acceptance.py::test_criterion_3_table3_reproduction"
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S+)$")
 # "PASSED tests/test_acceptance.py::test_x" or "FAILED tests/...::test_x - AssertionError..."
@@ -123,6 +138,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
         row["verdict"] = verdict(row, metric["bound"])
         summary[name] = row
     return summary
+
+
+def exp_kernel(env: dict | None = None) -> dict:
+    """numpy's CPU baseline, its dispatch targets (compiled, and enabled on this
+    host) and the float64 exp kernel it runs: "avx512", "libm" or "unknown".
+
+    A child process probes np.exp against math.exp at EXP_PROBE_X, in this
+    environment updated with env. A BENCH pair from two kernels differs in
+    the last bit of every np.exp, and then cannot pass for a speedup.
+    """
+    out = subprocess.run([sys.executable, "-c", _EXP_PROBE], env={**os.environ, **(env or {})},
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
 
 def _perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -222,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
                 "tree_digest": tree_digest(), "digest_covers": list(MEASURED)},
         "seed": SEED,
         "seconds": seconds,
+        "exp_kernel": exp_kernel(),
         "workloads": {},
     }
     if args.pairs:
